@@ -27,7 +27,7 @@ from .corpus import (
     subset,
     vector,
 )
-from .diversity import DiversityResult, diversity_all, diversity_summary, rao_stirling
+from .diversity import DiversityResult, diversity_all, rao_stirling
 from .netspace import (
     BinaryGraph,
     SymmetricValueMatrix,
@@ -37,7 +37,6 @@ from .netspace import (
     cosine_matrix,
     distance_matrix,
     export_matrix_market,
-    probability_normalize,
 )
 from .pipeline import RunConfig, compute_indicator_table, load_corpus, ranking
 from .stats import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -128,6 +129,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for metric in config.metrics:
         if metric not in ("one_minus_cosine", "relative_euclidean"):
             raise UsageError(f"unknown metric: {metric!r}")
+    if math.isnan(config.cosine_threshold):
+        raise UsageError("--cosine-threshold must be a number, not nan")
+    if config.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, not {config.jobs}")
     return config
 
 
@@ -152,6 +157,8 @@ def cmd_indicators(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    if args.top < 0:
+        raise UsageError(f"--top must be at least 0, not {args.top}")
     config = resolve_config(args)
     corpus = load_corpus(config)
     table = compute_indicator_table(corpus.matrix, corpus.registry, config)

@@ -16,13 +16,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import CitationMatrix, Direction
-from .errors import ContractError, EmptyCorpusError
-from .netspace import (
-    MATERIALIZE_LIMIT,
-    _l1_normalize_rows,
-    _l2_normalize_rows,
-    distance_matrix,
-)
+from .errors import ContractError, EmptyCorpusError, UndefinedIndicatorError
+from .netspace import _l1_normalize_rows, _l2_normalize_rows
+
+# Journals per block when evaluating the per-journal quadratic forms; bounds
+# the size of the intermediate sparse products.
+BATCH_SIZE = 512
 
 
 @dataclass
@@ -76,21 +75,6 @@ def _quadratic_form(p: np.ndarray, d: np.ndarray) -> float:
     return float(p @ d @ p)
 
 
-def _support_and_probs(
-    axis_csr: sp.csr_matrix, jid: int, exclude_self: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = axis_csr.indptr[jid], axis_csr.indptr[jid + 1]
-    ids = axis_csr.indices[lo:hi].astype(np.int64)
-    counts = axis_csr.data[lo:hi].astype(np.float64)
-    if exclude_self:
-        keep = ids != jid
-        ids, counts = ids[keep], counts[keep]
-    total = counts.sum()
-    if total > 0:
-        counts = counts / total
-    return ids, counts
-
-
 def diversity_all(
     matrix: CitationMatrix,
     direction: Direction | str,
@@ -109,38 +93,34 @@ def diversity_all(
     if matrix.nnz == 0:
         raise EmptyCorpusError("citation matrix has no cells")
     direction = Direction(direction)
-    axis = matrix.axis_matrix(direction)
-
-    if matrix.n <= MATERIALIZE_LIMIT:
-        dist = distance_matrix(matrix, direction, metric)
-        dense = dist.to_dense()
-        values, undef = _all_from_dense(matrix.n, axis, dense, exclude_self_citations)
-    elif metric == "one_minus_cosine":
-        values, undef = _all_cosine_bilinear(matrix.n, axis, exclude_self_citations)
+    if metric == "one_minus_cosine":
+        all_values = _all_cosine_bilinear
+    elif metric == "relative_euclidean":
+        all_values = _all_euclidean_pairs
     else:
-        values, undef = _all_euclidean_chunked(matrix.n, axis, exclude_self_citations)
-
+        raise UndefinedIndicatorError(f"unknown distance metric: {metric!r}")
+    axis = matrix.axis_matrix(direction)
+    support = np.diff(axis.indptr)
+    missing = support == 0
+    p_def, undef = _defined_probabilities(axis, ~missing, exclude_self_citations)
+    values = all_values(axis, p_def)
     if triangle_sum:
         values = values / 2.0
 
-    results = []
-    for jid in range(matrix.n):
-        lo, hi = axis.indptr[jid], axis.indptr[jid + 1]
-        support = axis.indices[lo:hi]
-        off_diag = support[support != jid]
-        missing = support.size == 0
-        degenerate = off_diag.size == 0
-        results.append(
-            DiversityResult(
-                journal_id=jid,
-                direction=direction,
-                metric=metric,
-                d_value=0.0 if degenerate else float(values[jid]),
-                degenerate=degenerate,
-                missing=missing,
-                undefined_pairs=int(undef[jid]),
-            )
+    degenerate = support - (axis.diagonal() > 0) == 0
+    values[degenerate] = 0.0
+    results = [
+        DiversityResult(
+            journal_id=jid,
+            direction=direction,
+            metric=metric,
+            d_value=float(values[jid]),
+            degenerate=bool(degenerate[jid]),
+            missing=bool(missing[jid]),
+            undefined_pairs=int(undef[jid]),
         )
+        for jid in range(matrix.n)
+    ]
     total_undef = int(undef.sum())
     if total_undef:
         warnings.warn(
@@ -151,23 +131,6 @@ def diversity_all(
     return results
 
 
-def _all_from_dense(
-    n: int, axis: sp.csr_matrix, dense_dist: np.ndarray, exclude_self: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    values = np.zeros(n)
-    undef = np.zeros(n, dtype=np.int64)
-    for jid in range(n):
-        ids, p = _support_and_probs(axis, jid, exclude_self)
-        if ids.size == 0:
-            continue
-        block = dense_dist[np.ix_(ids, ids)]
-        nan_off = np.isnan(block)
-        np.fill_diagonal(nan_off, False)
-        undef[jid] = int(nan_off.sum())
-        values[jid] = _quadratic_form(p, block)
-    return values, undef
-
-
 def _drop_diagonal(m: sp.csr_matrix) -> sp.csr_matrix:
     coo = m.tocoo()
     keep = coo.row != coo.col
@@ -176,94 +139,76 @@ def _drop_diagonal(m: sp.csr_matrix) -> sp.csr_matrix:
     )
 
 
-def _all_cosine_bilinear(
-    n: int, axis: sp.csr_matrix, exclude_self: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _row_sums(m: sp.spmatrix) -> np.ndarray:
+    return np.asarray(m.sum(axis=1)).ravel()
+
+
+def _defined_probabilities(
+    axis: sp.csr_matrix, defined: np.ndarray, exclude_self: bool
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Each journal's distribution, restricted to partners with a defined vector.
+
+    Also returns each journal's count of ordered partner pairs i != j whose
+    distance is undefined: s(s - 1) - s_def(s_def - 1) for a support of s
+    partners, s_def of them defined.
+    """
+    p_source = _drop_diagonal(axis) if exclude_self else axis
+    prob, _ = _l1_normalize_rows(p_source)
+    support = np.diff(prob.indptr)
+    p_def = prob.dot(sp.diags(defined.astype(np.float64))).tocsr()
+    p_def.eliminate_zeros()
+    support_def = np.diff(p_def.indptr)
+    undef = support * (support - 1) - support_def * (support_def - 1)
+    return p_def, undef.astype(np.int64)
+
+
+def _row_quadratic_forms(p: sp.csr_matrix, m: sp.csr_matrix) -> np.ndarray:
+    """p_j^T M p_j for every row p_j of `p`, in blocks of BATCH_SIZE rows."""
+    out = np.empty(p.shape[0])
+    for start in range(0, p.shape[0], BATCH_SIZE):
+        rows = p[start : start + BATCH_SIZE]
+        out[start : start + BATCH_SIZE] = _row_sums(rows.dot(m).multiply(rows))
+    return out
+
+
+def _all_cosine_bilinear(axis: sp.csr_matrix, p_def: sp.csr_matrix) -> np.ndarray:
     """All (1 - cosine) diversities at once via the similarity Gram matrix.
 
     With g the cosine similarity, sum_{i!=j} p_i p_j (1 - g_ij) splits into
     (sum p)^2 - sum p^2 minus the same bilinear form in g, so only the sparse
     Gram matrix is ever needed.
     """
-    unit, norms = _l2_normalize_rows(axis)
-    defined = norms > 0
+    unit, _ = _l2_normalize_rows(axis)
     gram = unit.dot(unit.T).tocsr()
     np.clip(gram.data, 0.0, 1.0, out=gram.data)
-    gram_diag = gram.diagonal()
-
-    p_source = _drop_diagonal(axis) if exclude_self else axis
-    prob, _ = _l1_normalize_rows(p_source)
-    support = np.diff(prob.indptr)
-
-    # Restrict each row to partners whose own vector is defined.
-    p_def = prob.dot(sp.diags(defined.astype(np.float64))).tocsr()
-    p_def.eliminate_zeros()
-    support_def = np.diff(p_def.indptr)
-
-    t1 = np.asarray(p_def.sum(axis=1)).ravel() ** 2
-    t2 = np.asarray(p_def.multiply(p_def).sum(axis=1)).ravel()
-    m = p_def.dot(gram)
-    s3 = np.asarray(m.multiply(p_def).sum(axis=1)).ravel()
-    s4 = p_def.multiply(p_def).dot(gram_diag)
+    p_sq = p_def.multiply(p_def)
+    t1 = _row_sums(p_def) ** 2
+    t2 = _row_sums(p_sq)
+    s3 = _row_quadratic_forms(p_def, gram)
+    s4 = p_sq.dot(gram.diagonal())
     values = (t1 - t2) - (s3 - s4)
     np.clip(values, 0.0, None, out=values)
-
-    undef = support * (support - 1) - support_def * (support_def - 1)
-    return values, undef.astype(np.int64)
+    return values
 
 
-def _all_euclidean_chunked(
-    n: int, axis: sp.csr_matrix, exclude_self: bool, chunk: int = 1024
-) -> tuple[np.ndarray, np.ndarray]:
-    """Relative-Euclidean diversities from a precomputed probability Gram.
+def _all_euclidean_pairs(axis: sp.csr_matrix, p_def: sp.csr_matrix) -> np.ndarray:
+    """All relative-Euclidean diversities from one sparse distance matrix.
 
-    d(i,j)^2 = |q_i|^2 + |q_j|^2 - 2 q_i.q_j over probability-normalized
-    vectors; the square root forces explicit per-pair evaluation, done in
-    row chunks of each journal's support.
+    d(a, b)^2 = |q_a|^2 + |q_b|^2 - 2 q_a.q_b over the probability-normalized
+    vectors q.  The square root rules out a bilinear split, so d is evaluated
+    explicitly, but only on the off-diagonal pairs that share some journal's
+    distribution (the support of B^T B for the pattern B of `p_def`).
     """
-    q, row_sums = _l1_normalize_rows(axis)
-    defined = row_sums > 0
-    sq = np.asarray(q.multiply(q).sum(axis=1)).ravel()
-    qgram = q.dot(q.T).tocsr()
-
-    values = np.zeros(n)
-    undef = np.zeros(n, dtype=np.int64)
-    for jid in range(n):
-        ids, p = _support_and_probs(axis, jid, exclude_self)
-        if ids.size == 0:
-            continue
-        def_mask = defined[ids]
-        s_def = int(def_mask.sum())
-        undef[jid] = ids.size * (ids.size - 1) - s_def * (s_def - 1)
-        p_def = np.where(def_mask, p, 0.0)
-        sq_ids = sq[ids]
-        total = 0.0
-        diag_positions = np.arange(ids.size)
-        for start in range(0, ids.size, chunk):
-            stop = min(start + chunk, ids.size)
-            g_block = qgram[ids[start:stop], :][:, ids].toarray()
-            d2 = sq_ids[start:stop, None] + sq_ids[None, :] - 2.0 * g_block
-            np.clip(d2, 0.0, None, out=d2)
-            d_block = np.sqrt(d2)
-            # Zero the diagonal cells that fall inside this chunk.
-            local = diag_positions[start:stop] - start
-            d_block[local, diag_positions[start:stop]] = 0.0
-            total += p_def[start:stop] @ d_block @ p_def
-        values[jid] = total
-    return values, undef
-
-
-def diversity_summary(
-    results: list[DiversityResult], include_degenerate: bool = False
-):
-    """Descriptive statistics over one configuration's diversity values."""
-    from .stats import descriptive
-
-    values = [
-        r.d_value
-        for r in results
-        if not r.missing and (include_degenerate or not r.degenerate)
-    ]
-    if not values:
-        raise EmptyCorpusError("no defined diversity values to summarize")
-    return descriptive(np.asarray(values))
+    prob, _ = _l1_normalize_rows(axis)
+    pattern = p_def.astype(bool).astype(np.int32)
+    pairs = _drop_diagonal(pattern.T.dot(pattern))
+    pairs.data[:] = 1.0
+    sq = _row_sums(prob.multiply(prob))
+    row_of = np.repeat(np.arange(pairs.shape[0]), np.diff(pairs.indptr))
+    sq_sums = sp.csr_matrix(
+        (sq[row_of] + sq[pairs.indices], pairs.indices, pairs.indptr), shape=pairs.shape
+    )
+    dist = (sq_sums - 2.0 * pairs.multiply(prob.dot(prob.T))).tocsr()
+    np.clip(dist.data, 0.0, None, out=dist.data)
+    np.sqrt(dist.data, out=dist.data)
+    return _row_quadratic_forms(p_def, dist)

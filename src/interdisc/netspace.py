@@ -6,11 +6,15 @@ distance matrices always have a zeroed diagonal.  Journals whose vector on
 the chosen axis is empty have cosine 0 against everything (including
 themselves) and *undefined* distances, which downstream consumers must
 exclude rather than treat as maximal.
+
+Cosine and distance matrices are built densely at every n, as one n x n
+float64 array.  The indicator pipeline builds one only for a nonzero cosine
+threshold: betweenness otherwise binarizes the co-occurrence support, and
+diversity works from sparse Gram matrices.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -19,12 +23,8 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .corpus import CitationMatrix, Direction, JournalVector
+from .corpus import CitationMatrix, Direction
 from .errors import CountOverflowError, EmptyCorpusError, UndefinedIndicatorError
-
-# Above this dimension pairwise matrices are not materialized densely;
-# cells are computed on demand from the normalized vectors instead.
-MATERIALIZE_LIMIT = 2000
 
 
 class MatrixKind(str, Enum):
@@ -56,12 +56,10 @@ def _l1_normalize_rows(m: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
 
 
 class SymmetricValueMatrix:
-    """Symmetric n x n value store, dense for small n and lazy above.
+    """Symmetric n x n value store, held as a dense array or a sparse matrix.
 
     `defined` flags journals whose underlying vector is nonempty; cells where
-    either side is undefined hold NaN for distance kinds.  The lazy form
-    computes any requested block from the stored normalized vectors, so the
-    values are identical to the materialized form.
+    either side is undefined hold NaN for distance kinds.
     """
 
     def __init__(
@@ -71,8 +69,6 @@ class SymmetricValueMatrix:
         diagonal_policy: DiagonalPolicy,
         dense: np.ndarray | None = None,
         sparse: sp.spmatrix | None = None,
-        unit_rows: sp.csr_matrix | None = None,
-        sq_norms: np.ndarray | None = None,
         defined: np.ndarray | None = None,
     ):
         self.n = n
@@ -80,68 +76,24 @@ class SymmetricValueMatrix:
         self.diagonal_policy = diagonal_policy
         self._dense = dense
         self._sparse = sparse.tocsr() if sparse is not None else None
-        self._unit_rows = unit_rows
-        self._sq_norms = sq_norms
         self.defined = defined if defined is not None else np.ones(n, dtype=bool)
-
-    @property
-    def materialized(self) -> bool:
-        return self._dense is not None or self._sparse is not None
 
     def block(self, ids: np.ndarray) -> np.ndarray:
         """Dense sub-matrix for the given ids (in the given order)."""
         ids = np.asarray(ids, dtype=np.int64)
         if self._dense is not None:
             return self._dense[np.ix_(ids, ids)].copy()
-        if self._sparse is not None:
-            return self._sparse[ids, :][:, ids].toarray()
-        return self._compute_block(ids)
-
-    def cell(self, i: int, j: int) -> float:
-        return float(self.block(np.array([i, j]))[0, 1]) if i != j else float(
-            self.block(np.array([i]))[0, 0]
-        )
-
-    def _compute_block(self, ids: np.ndarray) -> np.ndarray:
-        rows = self._unit_rows[ids]
-        gram = np.asarray(rows.dot(rows.T).todense())
-        np.clip(gram, 0.0, 1.0, out=gram)
-        if self.kind is MatrixKind.COSINE_SIMILARITY:
-            out = gram
-        elif self.kind is MatrixKind.ONE_MINUS_COSINE:
-            out = 1.0 - gram
-        elif self.kind is MatrixKind.EUCLIDEAN_DISTANCE:
-            sq = self._sq_norms[ids]
-            d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-            np.clip(d2, 0.0, None, out=d2)
-            out = np.sqrt(d2)
-        else:
-            raise EmptyCorpusError("co-occurrence matrices are always materialized")
-        mask = self.defined[ids]
-        if self.kind is not MatrixKind.COSINE_SIMILARITY:
-            undef = ~mask
-            out[undef, :] = np.nan
-            out[:, undef] = np.nan
-        else:
-            # Empty vectors are similar to nothing, themselves included.
-            undef = ~mask
-            out[undef, :] = 0.0
-            out[:, undef] = 0.0
-        if self.diagonal_policy is DiagonalPolicy.ZEROED:
-            np.fill_diagonal(out, 0.0)
-        return out
+        return self._sparse[ids, :][:, ids].toarray()
 
     def to_dense(self) -> np.ndarray:
         if self._dense is not None:
             return self._dense
-        if self._sparse is not None:
-            return self._sparse.toarray()
-        return self._compute_block(np.arange(self.n))
+        return self._sparse.toarray()
 
     def to_sparse(self) -> sp.csr_matrix:
         if self._sparse is not None:
             return self._sparse
-        return sp.csr_matrix(self.to_dense())
+        return sp.csr_matrix(self._dense)
 
 
 @dataclass
@@ -187,22 +139,14 @@ def cosine_matrix(
     vectors = matrix.axis_matrix(axis)
     unit, norms = _l2_normalize_rows(vectors)
     defined = norms > 0
-    if matrix.n <= MATERIALIZE_LIMIT:
-        gram = np.asarray(unit.dot(unit.T).todense())
-        np.clip(gram, 0.0, 1.0, out=gram)
-        np.fill_diagonal(gram, np.where(defined, 1.0, 0.0))
-        return SymmetricValueMatrix(
-            matrix.n,
-            MatrixKind.COSINE_SIMILARITY,
-            DiagonalPolicy.NATURAL,
-            dense=gram,
-            defined=defined,
-        )
+    gram = np.asarray(unit.dot(unit.T).todense())
+    np.clip(gram, 0.0, 1.0, out=gram)
+    np.fill_diagonal(gram, np.where(defined, 1.0, 0.0))
     return SymmetricValueMatrix(
         matrix.n,
         MatrixKind.COSINE_SIMILARITY,
         DiagonalPolicy.NATURAL,
-        unit_rows=unit,
+        dense=gram,
         defined=defined,
     )
 
@@ -255,17 +199,7 @@ def binarize(
     between cosine- and co-occurrence-based graphs and is off by default.
     """
     if isinstance(sym, SymmetricValueMatrix):
-        if sym.materialized:
-            values = sym.to_sparse()
-        elif threshold == 0.0 and sym._unit_rows is not None and (
-            sym.kind is MatrixKind.COSINE_SIMILARITY
-        ):
-            # cosine > 0 iff the vectors share support, so we can binarize
-            # without materializing pairwise values.
-            unit = sym._unit_rows.astype(bool).astype(np.int32)
-            values = unit.dot(unit.T)
-        else:
-            values = sp.csr_matrix(sym.to_dense())
+        values = sym.to_sparse()
         n = sym.n
     else:
         values = sym.tocsr()
@@ -284,16 +218,6 @@ def binarize_directed(matrix: CitationMatrix) -> BinaryGraph:
     adj.setdiag(False)
     adj.eliminate_zeros()
     return BinaryGraph(n=matrix.n, directed=True, adjacency=adj.astype(bool))
-
-
-def probability_normalize(vec: JournalVector) -> np.ndarray:
-    """Entries divided by their total, in the order of `vec.ids`."""
-    if vec.support_size == 0:
-        raise UndefinedIndicatorError(
-            f"journal {vec.owner_id} has no {vec.direction.value} citations"
-        )
-    counts = vec.counts.astype(np.float64)
-    return counts / counts.sum()
 
 
 def distance_matrix(
@@ -323,16 +247,6 @@ def distance_matrix(
         raise UndefinedIndicatorError(f"unknown distance metric: {metric!r}")
     defined = norms > 0
 
-    if matrix.n > MATERIALIZE_LIMIT:
-        return SymmetricValueMatrix(
-            matrix.n,
-            kind,
-            DiagonalPolicy.ZEROED,
-            unit_rows=unit,
-            sq_norms=sq_norms,
-            defined=defined,
-        )
-
     gram = np.asarray(unit.dot(unit.T).todense())
     np.clip(gram, 0.0, 1.0 if kind is MatrixKind.ONE_MINUS_COSINE else np.inf, out=gram)
     if kind is MatrixKind.ONE_MINUS_COSINE:
@@ -353,13 +267,9 @@ def distance_matrix(
 def export_matrix_market(sym: SymmetricValueMatrix, path: str | Path) -> None:
     """Write a symmetric value matrix in Matrix Market format.
 
-    Lazy matrices are materialized first; NaN (undefined) cells are written
-    as-is so the gaps stay visible to external tools.
+    The matrix is written from its dense form; NaN (undefined) cells are
+    written as-is so the gaps stay visible to external tools.
     """
-    if not sym.materialized and sym.n > MATERIALIZE_LIMIT:
-        warnings.warn(
-            f"materializing a {sym.n}x{sym.n} matrix for export", stacklevel=2
-        )
     dense = sym.to_dense()
     field = "integer" if sym.kind is MatrixKind.COOCCURRENCE else "real"
     scipy.io.mmwrite(str(path), sp.coo_matrix(dense), field=field, symmetry="symmetric")

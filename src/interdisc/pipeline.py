@@ -126,6 +126,8 @@ def load_corpus(config: RunConfig) -> LoadedCorpus:
         registry, matrix = load_edge_list(config.edges, min_count=config.min_count)
         digests = {"edges": file_digest(config.edges)}
     elif config.matrix_market:
+        if config.min_count != RunConfig.min_count:
+            raise UsageError("--min-count applies to edge lists, not to --matrix-market")
         registry, matrix = load_matrix_market(config.matrix_market, config.names_file)
         digests = {"matrix_market": file_digest(config.matrix_market)}
         if config.names_file:

@@ -355,6 +355,29 @@ class TestExportMatrix:
         m = scipy.io.mmread(str(target))
         assert m.shape == (3, 3)
 
+    def test_cosine_diagonal_exact_above_2000_journals(self, tmp_path):
+        import scipy.io
+
+        n = 2100
+        rng = np.random.default_rng(22)
+        citing = np.repeat(np.arange(n - 10), 6)
+        cited = rng.integers(10, n, size=citing.size)  # J0-J9 are never cited
+        counts = rng.integers(1, 50, size=citing.size)
+        edges = tmp_path / "edges.csv"
+        lines = ["citing,cited,count"]
+        lines += [f"J{a},J{b},{c}" for a, b, c in zip(citing, cited, counts)]
+        edges.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        target = tmp_path / "cos.mtx"
+        code = run(
+            ["export-matrix", "--edges", edges, "--kind", "cosine",
+             "--axis", "cited", "--out", target]
+        )
+        assert code == 0
+        diag = scipy.io.mmread(str(target)).diagonal()
+        assert diag.size == len(set(citing) | set(cited))
+        assert np.count_nonzero(diag == 1.0) == len(set(cited))
+        assert np.count_nonzero(diag == 0.0) == diag.size - len(set(cited))
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self):
@@ -390,3 +413,35 @@ class TestExitCodes:
             ]
         )
         assert code == 3
+
+
+class TestOptionValidation:
+    def test_min_count_with_matrix_market_is_usage_error(self, tmp_path):
+        import scipy.io
+        import scipy.sparse as sp
+
+        mm = tmp_path / "m.mtx"
+        scipy.io.mmwrite(str(mm), sp.coo_matrix(np.array([[0, 2], [3, 0]])), field="integer")
+        argv = ["indicators", "--matrix-market", mm, "--outdir", tmp_path / "o"]
+        assert run(argv) == 0
+        assert run(argv + ["--min-count", "2"]) == 1
+
+    def test_nan_cosine_threshold_is_usage_error(self, edges_path, tmp_path):
+        code = run(
+            ["indicators", "--edges", edges_path, "--outdir", tmp_path / "o",
+             "--cosine-threshold", "nan"]
+        )
+        assert code == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, edges_path, tmp_path, jobs):
+        code = run(
+            ["indicators", "--edges", edges_path, "--outdir", tmp_path / "o",
+             "--jobs", jobs]
+        )
+        assert code == 1
+
+    def test_negative_top_is_usage_error(self, edges_path, tmp_path):
+        argv = ["rank", "entropy", "--edges", edges_path, "--outdir", tmp_path / "o"]
+        assert run(argv + ["--top", "0"]) == 0
+        assert run(argv + ["--top", "-1"]) == 1

@@ -3,10 +3,10 @@ import pytest
 
 from conftest import random_sparse_counts
 from interdisc.corpus import CitationMatrix, Direction
-from interdisc.diversity import diversity_all, diversity_summary, rao_stirling
+from interdisc.diversity import diversity_all, rao_stirling
 from interdisc.errors import ContractError
 from interdisc.netspace import distance_matrix
-from oracles import descriptive_two_pass, naive_rao
+from oracles import naive_rao
 
 
 def matrix_from_dense(dense) -> CitationMatrix:
@@ -131,29 +131,39 @@ class TestDiversityAll:
                 assert r.d_value == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("exclude_self", [False, True])
-    def test_bilinear_path_matches_dense_path(self, monkeypatch, exclude_self):
+    def test_matches_naive_with_undefined_pairs(self, exclude_self):
         rng = np.random.default_rng(45)
         rows, cols, counts = random_sparse_counts(rng, 30, density=0.2)
         # journals 0-2 cite others but are never cited: their empty cited
         # vectors make distances to them undefined for every journal they cite
         keep = rows > 2
         m = CitationMatrix(30, rows[keep], cols[keep], counts[keep])
+        total_undef = 0
         for direction in (Direction.CITED, Direction.CITING):
+            axis = m.axis_matrix(direction)
             for metric in ("one_minus_cosine", "relative_euclidean"):
-                dense_results = diversity_all(
+                dist = distance_matrix(m, direction, metric).to_dense()
+                results = diversity_all(
                     m, direction, metric, exclude_self_citations=exclude_self
                 )
-                monkeypatch.setattr("interdisc.diversity.MATERIALIZE_LIMIT", 5)
-                fast_results = diversity_all(
-                    m, direction, metric, exclude_self_citations=exclude_self
-                )
-                monkeypatch.undo()
-                for a, b in zip(dense_results, fast_results):
-                    assert a.degenerate == b.degenerate and a.missing == b.missing
-                    assert a.undefined_pairs == b.undefined_pairs
-                    assert a.d_value == pytest.approx(b.d_value, abs=1e-12)
-        undef = sum(r.undefined_pairs for r in diversity_all(m, Direction.CITED, "one_minus_cosine"))
-        assert undef > 0  # the fixture genuinely exercises undefined pairs
+                for r in results:
+                    jid = r.journal_id
+                    lo, hi = axis.indptr[jid], axis.indptr[jid + 1]
+                    ids, w = axis.indices[lo:hi], axis.data[lo:hi].astype(np.float64)
+                    assert r.missing == (ids.size == 0)
+                    assert r.degenerate == (np.count_nonzero(ids != jid) == 0)
+                    if exclude_self:
+                        ids, w = ids[ids != jid], w[ids != jid]
+                    if ids.size == 0:
+                        assert r.d_value == 0.0 and r.undefined_pairs == 0
+                        continue
+                    block = dist[np.ix_(ids, ids)]
+                    nan_off = np.isnan(block)
+                    np.fill_diagonal(nan_off, False)
+                    assert r.undefined_pairs == int(nan_off.sum())
+                    assert r.d_value == pytest.approx(naive_rao(w / w.sum(), block), abs=1e-12)
+                    total_undef += r.undefined_pairs
+        assert total_undef > 0  # the fixture genuinely exercises undefined pairs
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(46)
@@ -206,25 +216,3 @@ class TestDiversityAll:
         )
         # dropping dominant self-citation mass boosts the off-diagonal products
         assert drop[0].d_value > keep[0].d_value
-
-
-class TestDiversitySummary:
-    def test_constant_results_zero_std(self):
-        m = CitationMatrix.from_cells(2, {(0, 1): 1, (1, 0): 1})
-        results = diversity_all(m, Direction.CITED, "one_minus_cosine")
-        stats = diversity_summary(results)
-        assert stats.std_dev == 0.0
-
-    def test_five_value_fixture(self):
-        from dataclasses import replace
-
-        m = CitationMatrix.from_cells(2, {(0, 1): 1, (1, 0): 1})
-        template = diversity_all(m, Direction.CITED, "one_minus_cosine")[0]
-        values = [0.1, 0.2, 0.3, 0.4, 0.5]
-        results = [replace(template, d_value=v) for v in values]
-        stats = diversity_summary(results)
-        mean, var = descriptive_two_pass(values)
-        assert stats.mean == pytest.approx(mean, abs=1e-15)
-        assert stats.variance == pytest.approx(var, abs=1e-15)
-        assert stats.range_max_minus_min == pytest.approx(0.4, abs=1e-15)
-        assert stats.range_from_zero == pytest.approx(0.5, abs=1e-15)

@@ -3,10 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import random_sparse_counts
-from interdisc.corpus import CitationMatrix, Direction, vector
-from interdisc.errors import ContractError, CountOverflowError, UndefinedIndicatorError
+from interdisc.corpus import CitationMatrix, Direction
+from interdisc.errors import CountOverflowError
 from interdisc.netspace import (
-    MATERIALIZE_LIMIT,
     MatrixKind,
     SymmetricValueMatrix,
     binarize,
@@ -16,7 +15,7 @@ from interdisc.netspace import (
     cosine_matrix,
     distance_matrix,
     export_matrix_market,
-    probability_normalize,
+    _l1_normalize_rows,
 )
 
 
@@ -57,6 +56,20 @@ class TestCosine:
             cos = cosine_matrix(m, axis).to_dense()
             assert np.all(cos >= 0.0) and np.all(cos <= 1.0)
             assert np.array_equal(cos, cos.T)
+
+    def test_diagonal_exact_above_2000_journals(self):
+        # n > 2,000; journals 0-9 are never cited and the last 10 cite
+        # nothing, so both axes have empty vectors
+        n = 2100
+        rng = np.random.default_rng(21)
+        citing = np.repeat(np.arange(n - 10), 6)
+        cited = rng.integers(10, n, size=citing.size)
+        m = CitationMatrix(n, cited, citing, rng.integers(1, 50, size=citing.size))
+        for axis in (Direction.CITED, Direction.CITING):
+            has_vector = np.diff(m.axis_matrix(axis).indptr) > 0
+            assert not has_vector.all()
+            diag = np.diag(cosine_matrix(m, axis).to_dense())
+            assert np.array_equal(diag, np.where(has_vector, 1.0, 0.0))
 
 
 class TestCooccurrence:
@@ -168,26 +181,23 @@ class TestBinarizeDirected:
 class TestProbabilityNormalize:
     def test_basic(self):
         m = CitationMatrix.from_cells(2, {(0, 0): 2, (0, 1): 2})
-        p = probability_normalize(vector(m, 0, Direction.CITED))
-        assert np.allclose(p, [0.5, 0.5])
+        prob, _ = _l1_normalize_rows(m.axis_matrix(Direction.CITED))
+        assert np.allclose(prob.toarray()[0], [0.5, 0.5])
 
     def test_direct_division(self):
         m = CitationMatrix.from_cells(4, {(0, 0): 1, (0, 1): 2, (0, 2): 3, (0, 3): 4})
-        p = probability_normalize(vector(m, 0, Direction.CITED))
+        prob, _ = _l1_normalize_rows(m.axis_matrix(Direction.CITED))
+        p = prob.toarray()[0]
         assert np.allclose(p, [0.1, 0.2, 0.3, 0.4], atol=1e-15)
         assert abs(p.sum() - 1.0) <= 1e-12
 
     def test_idempotent(self):
         rng = np.random.default_rng(14)
         counts = rng.integers(1, 100, size=9)
-        p1 = counts / counts.sum()
-        p2 = p1 / p1.sum()
-        assert np.allclose(p1, p2, atol=1e-15)
-
-    def test_empty_raises(self):
-        m = CitationMatrix.from_cells(2, {(0, 0): 1})
-        with pytest.raises(UndefinedIndicatorError):
-            probability_normalize(vector(m, 1, Direction.CITED))
+        p1, _ = _l1_normalize_rows(sp.csr_matrix(counts[None, :]))
+        p2, _ = _l1_normalize_rows(p1)
+        assert np.allclose(p1.toarray()[0], counts / counts.sum(), atol=1e-15)
+        assert np.allclose(p1.toarray(), p2.toarray(), atol=1e-15)
 
 
 class TestDistanceMatrix:
@@ -256,25 +266,30 @@ class TestDistanceMatrix:
             ok = ~np.isnan(d1)
             assert np.allclose(d1[ok], d2[ok], atol=1e-9)
 
-    def test_lazy_equals_dense(self, monkeypatch):
+    def test_matches_pairwise_formula(self):
         rng = np.random.default_rng(19)
         rows, cols, counts = random_sparse_counts(rng, 25, density=0.3)
-        m = CitationMatrix(25, rows, cols, counts)
-        for metric in ("one_minus_cosine", "relative_euclidean"):
-            dense = distance_matrix(m, Direction.CITED, metric).to_dense()
-            monkeypatch.setattr("interdisc.netspace.MATERIALIZE_LIMIT", 10)
-            lazy = distance_matrix(m, Direction.CITED, metric)
-            monkeypatch.setattr("interdisc.netspace.MATERIALIZE_LIMIT", MATERIALIZE_LIMIT)
-            assert not lazy.materialized
-            got = lazy.to_dense()
-            both = ~(np.isnan(dense) | np.isnan(got))
-            assert np.array_equal(np.isnan(dense), np.isnan(got))
-            assert np.allclose(dense[both], got[both], atol=1e-12)
-            ids = np.array([3, 7, 11, 2])
-            block = lazy.block(ids)
-            expected = dense[np.ix_(ids, ids)]
-            ok = ~np.isnan(expected)
-            assert np.allclose(block[ok], expected[ok], atol=1e-12)
+        keep = rows > 2  # journals 0-2 are never cited: empty cited vectors
+        m = CitationMatrix(25, rows[keep], cols[keep], counts[keep])
+        dense = m.tocsr().toarray().astype(np.float64)
+        for axis, vectors in ((Direction.CITED, dense), (Direction.CITING, dense.T)):
+            for metric in ("one_minus_cosine", "relative_euclidean"):
+                got = distance_matrix(m, axis, metric).to_dense()
+                for i in range(25):
+                    for j in range(25):
+                        a, b = vectors[i], vectors[j]
+                        if i == j:
+                            want = 0.0
+                        elif not a.any() or not b.any():
+                            want = np.nan
+                        elif metric == "one_minus_cosine":
+                            want = 1.0 - a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
+                        else:
+                            want = np.linalg.norm(a / a.sum() - b / b.sum())
+                        if np.isnan(want):
+                            assert np.isnan(got[i, j]), (axis, metric, i, j)
+                        else:
+                            assert got[i, j] == pytest.approx(want, abs=1e-12)
 
 
 class TestExport:
