@@ -7,14 +7,7 @@ evaluation layer (rank correlations, descriptive statistics, rotated factor
 analysis).
 """
 
-from .centrality import (
-    CentralityResult,
-    betweenness,
-    betweenness_all_variants,
-    betweenness_variant_arrays,
-    degree,
-    normalize_betweenness,
-)
+from .centrality import betweenness, normalize_betweenness
 from .corpus import (
     CitationMatrix,
     Direction,
@@ -51,12 +44,10 @@ from .stats import (
 )
 from .synth import BridgeSpec, GeneralistSpec, SyntheticSpec, generate, uniform_spec
 from .vector_indicators import (
-    VectorIndicatorResult,
-    compute_vector_indicators,
-    entropy_normalized,
-    gini,
-    gini_normalized,
-    shannon_entropy,
+    entropy_normalized_from_counts,
+    gini_from_counts,
+    gini_normalized_from_counts,
+    shannon_entropy_from_counts,
 )
 
 __version__ = "0.1.0"

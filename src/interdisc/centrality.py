@@ -1,4 +1,4 @@
-"""Freeman betweenness centrality on binarized graphs, plus degree counts.
+"""Freeman betweenness centrality on binarized graphs.
 
 Betweenness is computed over unweighted geodesics with Brandes-style
 dependency accumulation.  Sources are processed in fixed-size batches whose
@@ -9,31 +9,18 @@ order, which makes results identical regardless of worker count.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import multiprocessing as mp
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import CitationMatrix, Direction, vector
-from .netspace import BinaryGraph, binarize, binarize_directed, cooccurrence_support
+from .netspace import BinaryGraph
 
 BATCH_SIZE = 64
 
 _WORKER_GRAPH: tuple[sp.csr_matrix, sp.csr_matrix] | None = None
-
-
-@dataclass
-class CentralityResult:
-    journal_id: int
-    variant: str  # raw_directed | cosine_cited | cosine_citing
-    betweenness: float
-    normalized_betweenness: float
-    indegree: int
-    outdegree: int
 
 
 def _batch_dependencies(
@@ -137,63 +124,3 @@ def normalize_betweenness(scores: np.ndarray, n: int, directed: bool) -> np.ndar
     if pairs <= 0:
         return np.zeros_like(scores)
     return scores / pairs
-
-
-def default_jobs() -> int:
-    return max(1, os.cpu_count() or 1)
-
-
-def betweenness_variant_arrays(
-    matrix: CitationMatrix, jobs: int = 1
-) -> dict[str, np.ndarray]:
-    """Raw betweenness under the three graph constructions.
-
-    ``raw_directed`` binarizes the citation matrix itself; the two cosine
-    variants binarize the co-occurrence support of the cited/citing axis,
-    which has the same edge set as the cosine-similarity matrix, so the
-    cosine values are never materialized.
-    """
-    out: dict[str, np.ndarray] = {}
-    out["raw_directed"] = betweenness(binarize_directed(matrix), jobs=jobs)
-    for axis, name in ((Direction.CITED, "cosine_cited"), (Direction.CITING, "cosine_citing")):
-        graph = binarize(cooccurrence_support(matrix, axis))
-        out[name] = betweenness(graph, jobs=jobs)
-    return out
-
-
-def degree(
-    matrix: CitationMatrix, jid: int, direction: Direction | str
-) -> tuple[int, int]:
-    """(degree excluding the diagonal cell, total citations including it)."""
-    vec = vector(matrix, jid, direction)
-    deg = vec.support_size - int(np.any(vec.ids == jid))
-    return deg, vec.total()
-
-
-def betweenness_all_variants(
-    matrix: CitationMatrix, jobs: int = 1
-) -> list[CentralityResult]:
-    """Per-journal results for all three betweenness variants."""
-    arrays = betweenness_variant_arrays(matrix, jobs=jobs)
-    n = matrix.n
-    csr, csc = matrix.tocsr(), matrix.tocsc()
-    diag = csr.diagonal()
-    indeg = np.diff(csr.indptr) - (diag > 0)
-    outdeg = np.diff(csc.indptr) - (diag > 0)
-
-    results = []
-    for variant, scores in arrays.items():
-        directed = variant == "raw_directed"
-        norm = normalize_betweenness(scores, n, directed)
-        for jid in range(n):
-            results.append(
-                CentralityResult(
-                    journal_id=jid,
-                    variant=variant,
-                    betweenness=float(scores[jid]),
-                    normalized_betweenness=float(norm[jid]),
-                    indegree=int(indeg[jid]),
-                    outdegree=int(outdeg[jid]),
-                )
-            )
-    return results

@@ -114,6 +114,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise DataError(f"config file not found: {args.config}") from None
         except json.JSONDecodeError as exc:
             raise DataError(f"config file is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise UsageError(f"config file must hold a JSON object: {args.config}")
     for name in _CONFIG_FLAGS:
         value = getattr(args, name, None)
         if value is not None:

@@ -113,8 +113,15 @@ class CitationMatrix:
         )
         self._csr = coo.tocsr()
         self._csr.sum_duplicates()
-        # Drop any zeros that duplicate-summation might have left explicit.
-        self._csr.eliminate_zeros()
+        if self._csr.nnz < len(counts):
+            # Duplicate cells were summed in int64, which wraps silently; a
+            # float64 sum is off by a multiple of 2**64 exactly where it did.
+            approx = sp.coo_matrix(
+                (counts.astype(np.float64), (rows, cols)), shape=(n, n)
+            ).tocsr()
+            approx.sum_duplicates()
+            if np.any(np.abs(approx.data - self._csr.data) >= 2.0**63):
+                raise ParseError("summed citation count exceeds the int64 range")
         self._csc = self._csr.tocsc()
         self.n = n
 
@@ -122,7 +129,10 @@ class CitationMatrix:
     def from_cells(cls, n: int, cells: dict[tuple[int, int], int]) -> "CitationMatrix":
         if cells:
             rows, cols = zip(*cells.keys())
-            counts = np.fromiter(cells.values(), dtype=np.int64, count=len(cells))
+            try:
+                counts = np.fromiter(cells.values(), dtype=np.int64, count=len(cells))
+            except OverflowError:
+                raise ParseError("summed citation count exceeds the int64 range") from None
         else:
             rows, cols, counts = (), (), np.zeros(0, dtype=np.int64)
         return cls(n, np.asarray(rows), np.asarray(cols), counts)
@@ -165,7 +175,6 @@ class JournalVector:
     direction: Direction
     ids: np.ndarray
     counts: np.ndarray
-    length: int  # full matrix dimension, needed for zero-padded populations
 
     @property
     def support_size(self) -> int:
@@ -193,7 +202,6 @@ def vector(matrix: CitationMatrix, jid: int, direction: Direction | str) -> Jour
         direction=direction,
         ids=ids.astype(np.int64),
         counts=counts.astype(np.int64),
-        length=matrix.n,
     )
 
 
@@ -218,13 +226,14 @@ def load_edge_list(
 
     Duplicate (citing, cited) rows are summed; rows whose summed count falls
     below `min_count` are dropped after summation.  Ids are assigned in
-    first-appearance order (citing column first within each row).
+    first-appearance order (citing column first within each row).  A leading
+    UTF-8 byte-order mark, as spreadsheet programs write, is ignored.
     """
     if min_count < 1:
         raise ParseError("min_count must be a positive integer")
     registry = JournalRegistry()
     cells: dict[tuple[int, int], int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -66,6 +66,18 @@ ASCENDING_INDICATORS = ("gini", "gini_normalized")
 LOADING_DISPLAY_THRESHOLD = 0.1
 
 
+# RunConfig field annotations (strings under postponed evaluation) -> value check
+_FIELD_TYPE_CHECKS = {
+    "str": lambda v: isinstance(v, str),
+    "str | None": lambda v: v is None or isinstance(v, str),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "tuple[str, ...]": lambda v: isinstance(v, (list, tuple))
+    and all(isinstance(x, str) for x in v),
+}
+
+
 @dataclass
 class RunConfig:
     edges: str | None = None
@@ -92,10 +104,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            type_name = fields[key].type
+            if not _FIELD_TYPE_CHECKS[type_name](value):
+                raise UsageError(f"config key {key!r} must be {type_name}, not {value!r}")
         clean = dict(data)
         for key in ("directions", "metrics"):
             if key in clean:
@@ -177,24 +193,9 @@ def compute_indicator_table(
         totals = np.asarray(axis.sum(axis=1)).ravel()
         degree = support - (diag > 0)
 
-        gini_col = np.full(n, np.nan)
-        gini_norm_col = np.full(n, np.nan)
-        entropy_col = np.full(n, np.nan)
-        entropy_norm_col = np.full(n, np.nan)
-        for jid in range(n):
-            lo, hi = axis.indptr[jid], axis.indptr[jid + 1]
-            if lo == hi:
-                continue
-            counts = axis.data[lo:hi].astype(np.float64)
-            if config.gini_include_zeros:
-                population = np.zeros(n)
-                population[axis.indices[lo:hi]] = counts
-            else:
-                population = counts
-            gini_col[jid] = vi.gini_from_counts(population)
-            gini_norm_col[jid] = vi.gini_normalized_from_counts(population)
-            entropy_col[jid] = vi.shannon_entropy_from_counts(counts)
-            entropy_norm_col[jid] = vi.entropy_normalized_from_counts(counts)
+        gini_col, gini_norm_col, entropy_col, entropy_norm_col = (
+            vi.vector_indicator_columns(axis, n if config.gini_include_zeros else None)
+        )
 
         graph = _cosine_variant_graph(matrix, direction, config.cosine_threshold)
         cos_scores = ct.betweenness(graph, jobs=config.jobs)

@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from interdisc.corpus import load_edge_list
+from interdisc.corpus import JournalRegistry, load_edge_list
+from interdisc.pipeline import RunConfig, compute_indicator_table
 
 # Hand-tallied 3-journal fixture.  Rows are (citing, cited, count); the
 # resulting cells keyed (cited, citing) with first-appearance ids
@@ -60,3 +61,12 @@ def random_sparse_counts(rng: np.random.Generator, n: int, density: float = 0.25
     counts = rng.integers(1, 20, size=(n, n))
     rows, cols = np.nonzero(mask)
     return rows, cols, counts[rows, cols]
+
+
+def indicator_table(matrix, registry=None, **options):
+    """compute_indicator_table with journals named J0..J(n-1) unless given."""
+    if registry is None:
+        registry = JournalRegistry()
+        for j in range(matrix.n):
+            registry.add(f"J{j}")
+    return compute_indicator_table(matrix, registry, RunConfig(**options))

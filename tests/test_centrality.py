@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import random_sparse_counts
-from interdisc.centrality import (
-    betweenness,
-    betweenness_all_variants,
-    betweenness_variant_arrays,
-    degree,
-    normalize_betweenness,
-)
+from conftest import indicator_table, random_sparse_counts
+from interdisc.centrality import betweenness, normalize_betweenness
 from interdisc.corpus import CitationMatrix, Direction
 from interdisc.netspace import BinaryGraph, binarize, binarize_directed, cooccurrence_support
 from oracles import brute_betweenness
+
+BETWEENNESS_COLUMNS = [
+    f"betweenness_{kind}_{direction}"
+    for kind in ("citations", "citations_normalized", "cosine", "cosine_normalized")
+    for direction in ("cited", "citing")
+]
 
 
 def graph_from_dense(adj, directed: bool) -> BinaryGraph:
@@ -125,9 +125,9 @@ class TestNormalization:
 class TestVariants:
     def test_diagonal_only_matrix_all_zero(self):
         m = CitationMatrix.from_cells(4, {(i, i): 3 for i in range(4)})
-        arrays = betweenness_variant_arrays(m)
-        for name, scores in arrays.items():
-            assert np.allclose(scores, 0.0), name
+        table = indicator_table(m, metrics=())
+        for name in BETWEENNESS_COLUMNS:
+            assert np.allclose(table.column(name), 0.0), name
 
     def test_two_cluster_bridge_has_max_cosine_cited_betweenness(self):
         # Two 4-journal cliques in the cited dimension plus one journal cited
@@ -164,32 +164,39 @@ class TestVariants:
         assert np.allclose(a, b, atol=1e-9)
 
     def test_all_variants_table(self, corpus4):
-        _, matrix = corpus4
-        results = betweenness_all_variants(matrix)
-        variants = {r.variant for r in results}
-        assert variants == {"raw_directed", "cosine_cited", "cosine_citing"}
-        assert len(results) == 3 * matrix.n
-        for r in results:
-            assert r.betweenness >= 0.0
-            assert 0.0 <= r.normalized_betweenness <= 1.0
+        registry, matrix = corpus4
+        table = indicator_table(matrix, registry, metrics=())
+        # raw directed betweenness is one computation reported under both labels
+        assert np.array_equal(
+            table.column("betweenness_citations_cited"),
+            table.column("betweenness_citations_citing"),
+        )
+        for name in BETWEENNESS_COLUMNS:
+            scores = table.column(name)
+            assert len(scores) == matrix.n
+            assert np.all(scores >= 0.0), name
+            if "normalized" in name:
+                assert np.all(scores <= 1.0), name
 
 
 class TestDegree:
     def test_self_cited_only(self):
         m = CitationMatrix.from_cells(2, {(0, 0): 9})
-        deg, total = degree(m, 0, Direction.CITED)
-        assert deg == 0 and total == 9
+        table = indicator_table(m, metrics=())
+        assert table.column("degree_cited")[0] == 0
+        assert table.column("total_citations_cited")[0] == 9
 
     def test_diagonal_excluded_from_degree(self):
         m = CitationMatrix.from_cells(4, {(0, 0): 1, (0, 1): 2, (0, 2): 5})
-        deg, total = degree(m, 0, Direction.CITED)
-        assert deg == 2
-        assert total == 8
+        table = indicator_table(m, metrics=())
+        assert table.column("degree_cited")[0] == 2
+        assert table.column("total_citations_cited")[0] == 8
 
     def test_totals_conserved(self, corpus4):
-        _, matrix = corpus4
-        cited_total = sum(degree(matrix, j, Direction.CITED)[1] for j in range(matrix.n))
-        citing_total = sum(degree(matrix, j, Direction.CITING)[1] for j in range(matrix.n))
+        registry, matrix = corpus4
+        table = indicator_table(matrix, registry, metrics=())
+        cited_total = np.nansum(table.column("total_citations_cited"))
+        citing_total = np.nansum(table.column("total_citations_citing"))
         assert cited_total == citing_total == matrix.total
 
     def test_star_degree_tracks_betweenness(self):

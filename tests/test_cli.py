@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +9,8 @@ import pytest
 
 from interdisc.cli import main
 from interdisc.pipeline import INDICATOR_NAMES
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv) -> int:
@@ -401,6 +406,23 @@ class TestExitCodes:
             == 2
         )
 
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("e.csv", "citing,cited,count\nA,B,99999999999999999999\n"),
+            (
+                "m.mtx",
+                "%%MatrixMarket matrix coordinate integer general\n2 2 2\n"
+                f"1 2 {2**62}\n1 2 {2**62}\n",
+            ),
+        ],
+    )
+    def test_count_beyond_int64_is_2(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        flag = "--edges" if name.endswith(".csv") else "--matrix-market"
+        assert run(["indicators", flag, path, "--outdir", tmp_path / "o"]) == 2
+
     def test_numerical_error_is_3(self, synth_outdir, tmp_path):
         # k larger than the column count triggers a rank error
         code = run(
@@ -445,3 +467,40 @@ class TestOptionValidation:
         argv = ["rank", "entropy", "--edges", edges_path, "--outdir", tmp_path / "o"]
         assert run(argv + ["--top", "0"]) == 0
         assert run(argv + ["--top", "-1"]) == 1
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"cosine_threshold": "0.5"},
+            {"jobs": "2"},
+            [1, 2],
+            {"gini_include_zeros": "no"},
+            {"directions": "cited"},
+        ],
+    )
+    def test_config_value_of_wrong_type_is_usage_error(self, edges_path, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["indicators", "--edges", edges_path, "--outdir", tmp_path / "o"]
+        assert run(argv + ["--config", path]) == 1
+
+
+class TestTracedRun:
+    """perfbench/traced.py rebinds package functions by name and aborts when
+    one is gone; run it in a subprocess so the rebinding stays out of this
+    session."""
+
+    @pytest.mark.parametrize("command", [["indicators"], ["rank", "entropy"]])
+    def test_traced_command_runs(self, edges4_path, tmp_path, command):
+        spans = tmp_path / "spans.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans), *command,
+             "--edges", str(edges4_path), "--outdir", str(tmp_path / "o")],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(spans.read_text(encoding="utf-8"))["spans"]

@@ -18,7 +18,7 @@ from interdisc.errors import (
     ParseError,
     UnknownJournalError,
 )
-from interdisc.vector_indicators import gini
+from interdisc.vector_indicators import gini_from_counts
 
 
 def write(tmp_path, name, text):
@@ -102,6 +102,22 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="header"):
             load_edge_list(path)
 
+    def test_utf8_bom_is_ignored(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfciting,cited,count\nA,B,3\n")
+        registry, matrix = load_edge_list(path)
+        assert registry.name_of(0) == "A"
+        assert matrix.cell(cited=registry.id_of("B"), citing=registry.id_of("A")) == 3
+
+    def test_count_beyond_int64_is_parse_error(self, tmp_path):
+        one_row = write(tmp_path, "a.csv", "citing,cited,count\nA,B,99999999999999999999\n")
+        with pytest.raises(ParseError, match="int64"):
+            load_edge_list(one_row)
+        half = 2**62
+        summed = write(tmp_path, "b.csv", f"citing,cited,count\nA,B,{half}\nA,B,{half}\n")
+        with pytest.raises(ParseError, match="int64"):
+            load_edge_list(summed)
+
 
 class TestMatrixMarket:
     def test_small_direct(self, tmp_path):
@@ -153,6 +169,26 @@ class TestMatrixMarket:
         )
         with pytest.raises(ParseError, match="negative"):
             load_matrix_market(mm)
+
+    @pytest.mark.parametrize("copies", [2, 4, 5])  # sums wrap to -2**63, 0, 2**62
+    def test_duplicate_sum_beyond_int64_is_parse_error(self, tmp_path, copies):
+        lines = "".join(f"1 2 {2**62}\n" for _ in range(copies))
+        mm = write(
+            tmp_path,
+            "m.mtx",
+            f"%%MatrixMarket matrix coordinate integer general\n2 2 {copies}\n{lines}",
+        )
+        with pytest.raises(ParseError, match="int64"):
+            load_matrix_market(mm)
+
+    def test_duplicate_entries_are_summed(self, tmp_path):
+        mm = write(
+            tmp_path,
+            "m.mtx",
+            "%%MatrixMarket matrix coordinate integer general\n2 2 3\n1 2 3\n1 2 4\n2 1 1\n",
+        )
+        _, matrix = load_matrix_market(mm)
+        assert matrix.nnz == 2 and matrix.cell(0, 1) == 7
 
     def test_sidecar_names(self, tmp_path):
         mm = write(
@@ -278,8 +314,8 @@ class TestSubset:
         registry, matrix = corpus4
         x = registry.id_of("X")
         scope = subset(matrix, registry, [x], SubsetMode.GLOBAL_CONTEXT)
-        full_value = gini(vector(matrix, x, Direction.CITED))
-        scoped_value = gini(vector(scope.matrix, x, Direction.CITED))
+        full_value = gini_from_counts(vector(matrix, x, Direction.CITED).counts)
+        scoped_value = gini_from_counts(vector(scope.matrix, x, Direction.CITED).counts)
         assert full_value == scoped_value
 
     def test_local_then_full_is_identity(self, corpus4):

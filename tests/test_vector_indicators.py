@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from interdisc.corpus import CitationMatrix, Direction, vector
+from conftest import indicator_table
+from interdisc.corpus import CitationMatrix, Direction
 from interdisc.errors import UndefinedIndicatorError
 from interdisc.vector_indicators import (
-    compute_vector_indicators,
     entropy_normalized_from_counts,
     gini_from_counts,
     gini_normalized_from_counts,
     shannon_entropy_from_counts,
+    vector_indicator_columns,
 )
 from oracles import entropy_direct, gini_pairwise
 
@@ -91,9 +92,10 @@ class TestGiniNormalized:
 
     def test_degenerate_flagging(self):
         matrix = CitationMatrix.from_cells(2, {(0, 0): 9})
-        res = compute_vector_indicators(vector(matrix, 0, Direction.CITED))
-        assert res.degenerate
-        assert res.gini == 0.0 and res.gini_normalized == 0.0
+        table = indicator_table(matrix, metrics=())
+        assert table.flags["degenerate_cited"][0]
+        assert table.column("gini_cited")[0] == 0.0
+        assert table.column("gini_normalized_cited")[0] == 0.0
 
 
 class TestEntropy:
@@ -175,19 +177,84 @@ class TestMassTransfer:
 class TestIncludeZeros:
     def test_population_switch_changes_gini(self, corpus3):
         _, matrix = corpus3
-        vec = vector(matrix, 1, Direction.CITED)  # A cited by B(3) and C(2)
-        from interdisc.vector_indicators import gini as gini_vec
-
-        default = gini_vec(vec)
-        padded = gini_vec(vec, include_zeros=True)
+        axis = matrix.axis_matrix(Direction.CITED)  # A (row 1) cited by B(3) and C(2)
+        default = vector_indicator_columns(axis)[0][1]
+        padded = vector_indicator_columns(axis, population=matrix.n)[0][1]
         # padding with the third journal's zero makes the distribution less even
         assert padded > default
 
     def test_include_zeros_matches_manual_population(self, corpus3):
         _, matrix = corpus3
-        vec = vector(matrix, 1, Direction.CITED)
-        from interdisc.vector_indicators import gini as gini_vec
+        axis = matrix.axis_matrix(Direction.CITED)
+        manual = axis.toarray()[1]
+        assert vector_indicator_columns(axis, population=matrix.n)[0][1] == gini_from_counts(
+            manual
+        )
 
-        manual = np.zeros(matrix.n)
-        manual[vec.ids] = vec.counts
-        assert gini_vec(vec, include_zeros=True) == gini_from_counts(manual)
+
+class TestAllZeroInput:
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            gini_from_counts,
+            gini_normalized_from_counts,
+            shannon_entropy_from_counts,
+            entropy_normalized_from_counts,
+        ],
+    )
+    @pytest.mark.parametrize("x", [[], [0, 0, 0], [0], [3, -1]])
+    def test_raises(self, fn, x):
+        with pytest.raises(UndefinedIndicatorError):
+            fn(x)
+
+
+class TestTableColumnsAgainstOracles:
+    """Every journal's four vector columns from the table path vs the oracles."""
+
+    @staticmethod
+    def corpus():
+        rng = np.random.default_rng(5)
+        n = 24
+        dense = np.where(rng.random((n, n)) < 0.3, rng.integers(1, 40, (n, n)), 0)
+        dense[0, :] = 0  # journal 0 is never cited: empty cited vector
+        dense[:, 1] = 0  # journal 1 cites nothing: empty citing vector
+        dense[2, :] = 0
+        dense[2, 5] = 7  # single-cell cited vector
+        dense[:, 3] = 0
+        dense[3, 3] = 4  # single-cell citing vector, a self-citation
+        dense[4, :] = 0
+        dense[4, [6, 7, 8]] = 5  # uniform cited vector
+        rows, cols = np.nonzero(dense)
+        return dense, CitationMatrix(n, rows, cols, dense[rows, cols])
+
+    @pytest.mark.parametrize("include_zeros", [False, True])
+    def test_columns_match_oracles(self, include_zeros):
+        dense, matrix = self.corpus()
+        n = matrix.n
+        table = indicator_table(matrix, gini_include_zeros=include_zeros, metrics=())
+        for direction, vectors in (("cited", dense), ("citing", dense.T)):
+            support = (vectors > 0).sum(axis=1)
+            assert np.array_equal(table.flags[f"degenerate_{direction}"], support <= 1)
+            columns = {
+                name: table.column(f"{name}_{direction}")
+                for name in ("gini", "gini_normalized", "entropy", "entropy_normalized")
+            }
+            for j in range(n):
+                counts = vectors[j][vectors[j] > 0].astype(float)
+                if counts.size == 0:
+                    assert all(np.isnan(col[j]) for col in columns.values())
+                    continue
+                population = vectors[j].astype(float) if include_zeros else counts
+                size = population.size
+                gini = gini_pairwise(population)
+                gini_norm = gini * size / (size - 1) if size > 1 else 0.0
+                entropy = entropy_direct(counts)
+                entropy_norm = entropy / np.log2(counts.size) if counts.size > 1 else 0.0
+                assert columns["gini"][j] == pytest.approx(gini, abs=1e-12)
+                assert columns["gini_normalized"][j] == pytest.approx(gini_norm, abs=1e-12)
+                assert columns["entropy"][j] == pytest.approx(entropy, abs=1e-12)
+                assert columns["entropy_normalized"][j] == pytest.approx(
+                    entropy_norm, abs=1e-12
+                )
+            # the corpus has empty, single-cell and multi-cell journals on both sides
+            assert (support == 0).any() and (support == 1).any() and (support > 1).any()
