@@ -2,9 +2,17 @@
 
 Betweenness is computed over unweighted geodesics with Brandes-style
 dependency accumulation.  Sources are processed in fixed-size batches whose
-BFS and accumulation steps are vectorized as sparse-times-dense products, so
-one pass handles dozens of sources at once; batches are reduced in index
+BFS and accumulation steps are vectorized as adjacency-times-dense products,
+so one pass handles dozens of sources at once; batches are reduced in index
 order, which makes results identical regardless of worker count.
+
+The adjacency format follows the graph's density.  Above `DENSE_DENSITY`,
+as co-occurrence graphs often are, it is an n x n float64 array and each
+product is a multithreaded BLAS GEMM run in the calling process; below it is
+CSR and batches may be spread over forked worker processes.  Both formats run
+the same recurrences.  The forward phase is exact either way (path counts are
+integers below 2**53); the backward sums may differ in the last bit between
+formats and between BLAS thread counts.
 """
 
 from __future__ import annotations
@@ -19,17 +27,23 @@ import scipy.sparse as sp
 from .netspace import BinaryGraph
 
 BATCH_SIZE = 64
+# Fraction of the n*n possible arcs above which the dense adjacency is used:
+# measured crossover of CSR and GEMM products on co-occurrence graphs.
+DENSE_DENSITY = 0.1
 
 _WORKER_GRAPH: tuple[sp.csr_matrix, sp.csr_matrix] | None = None
 
 
 def _batch_dependencies(
-    adj: sp.csr_matrix, adj_t: sp.csr_matrix, sources: np.ndarray
+    adj: sp.csr_matrix | np.ndarray,
+    adj_t: sp.csr_matrix | np.ndarray,
+    sources: np.ndarray,
 ) -> np.ndarray:
     """Sum of Brandes dependency vectors for one batch of sources.
 
-    `adj[v, w]` holds arc v -> w; `adj_t` is its transpose.  Returns the
-    per-node dependency totals with each source's own entry zeroed.
+    `adj[v, w]` holds arc v -> w; `adj_t` is its transpose.  Both are float64,
+    either CSR or dense.  Returns the per-node dependency totals with each
+    source's own entry zeroed.
     """
     n = adj.shape[0]
     b = len(sources)
@@ -83,21 +97,32 @@ def betweenness(
     Directed graphs sum over ordered pairs, undirected over unordered pairs
     (the symmetric accumulation is halved).  Pairs with no connecting path
     contribute nothing.
+
+    A graph with more than `DENSE_DENSITY * n * n` arcs runs on a dense
+    float64 adjacency (8 n^2 bytes) in this process, using the BLAS threads;
+    `jobs` applies only to sparser graphs, whose batches it spreads over
+    forked workers.  Results do not depend on `jobs`.
     """
     n = graph.n
     scores = np.zeros(n)
     if n < 3 or graph.adjacency.nnz == 0:
         return scores
 
-    adj = graph.adjacency.astype(np.float64).tocsr()
-    adj_t = adj.T.tocsr() if graph.directed else adj
     batch_size = max(1, min(batch_size, n))
     batches = [
         np.arange(start, min(start + batch_size, n))
         for start in range(0, n, batch_size)
     ]
 
-    if jobs > 1 and len(batches) > 1:
+    dense = graph.adjacency.nnz > DENSE_DENSITY * n * n
+    if dense:
+        adj = graph.adjacency.toarray().astype(np.float64)
+        adj_t = adj.T if graph.directed else adj
+    else:
+        adj = graph.adjacency.astype(np.float64).tocsr()
+        adj_t = adj.T.tocsr() if graph.directed else adj
+
+    if not dense and jobs > 1 and len(batches) > 1:
         ctx = mp.get_context("fork")
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(batches)),

@@ -84,7 +84,9 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--exclude-self-citations-from-p", action="store_true", default=None,
                    help="drop the diagonal from diversity distributions (sensitivity)")
     p.add_argument("-k", "--factors", dest="factors_k", type=int, help="factor count")
-    p.add_argument("--jobs", type=int, help="parallel workers for betweenness")
+    p.add_argument("--jobs", type=int,
+                   help="parallel workers for betweenness on sparse graphs "
+                        "(dense graphs use the BLAS threads)")
     p.add_argument("--seed", type=int, help="random seed (synthetic data only)")
 
 

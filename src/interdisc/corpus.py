@@ -290,7 +290,7 @@ def load_matrix_market(
     if names_path is not None:
         names = [
             line.strip()
-            for line in Path(names_path).read_text(encoding="utf-8").splitlines()
+            for line in Path(names_path).read_text(encoding="utf-8-sig").splitlines()
             if line.strip()
         ]
         if len(names) != rows:

@@ -108,14 +108,20 @@ class RunConfig:
         unknown = set(data) - set(fields)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        clean = {}
         for key, value in data.items():
             type_name = fields[key].type
             if not _FIELD_TYPE_CHECKS[type_name](value):
                 raise UsageError(f"config key {key!r} must be {type_name}, not {value!r}")
-        clean = dict(data)
-        for key in ("directions", "metrics"):
-            if key in clean:
-                clean[key] = tuple(clean[key])
+            if type_name == "float":
+                # an int here would print as 0, not 0.0, in the provenance line
+                try:
+                    value = float(value)
+                except OverflowError:
+                    raise UsageError(f"config key {key!r} is out of range: {value!r}") from None
+            elif type_name == "tuple[str, ...]":
+                value = tuple(value)
+            clean[key] = value
         return cls(**clean)
 
 

@@ -1,9 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import indicator_table, random_sparse_counts
-from interdisc.centrality import betweenness, normalize_betweenness
+from interdisc.centrality import (
+    DENSE_DENSITY,
+    _batch_dependencies,
+    betweenness,
+    normalize_betweenness,
+)
 from interdisc.corpus import CitationMatrix, Direction
 from interdisc.netspace import BinaryGraph, binarize, binarize_directed, cooccurrence_support
 from oracles import brute_betweenness
@@ -21,6 +31,10 @@ def graph_from_dense(adj, directed: bool) -> BinaryGraph:
         adj = adj | adj.T
     np.fill_diagonal(adj, False)
     return BinaryGraph(n=adj.shape[0], directed=directed, adjacency=sp.csr_matrix(adj))
+
+
+def runs_dense(graph: BinaryGraph) -> bool:
+    return graph.adjacency.nnz > DENSE_DENSITY * graph.n * graph.n
 
 
 class TestSmallGraphs:
@@ -92,10 +106,12 @@ class TestDeterminismAndJobs:
         b = betweenness(graph)
         assert np.array_equal(a, b)
 
-    def test_jobs_do_not_change_results(self):
+    @pytest.mark.parametrize("p, dense", [(0.05, False), (0.2, True)], ids=["sparse", "dense"])
+    def test_jobs_do_not_change_results(self, p, dense):
         rng = np.random.default_rng(24)
-        adj = rng.random((150, 150)) < 0.05
+        adj = rng.random((150, 150)) < p
         graph = graph_from_dense(adj, directed=False)
+        assert runs_dense(graph) == dense
         sequential = betweenness(graph, jobs=1, batch_size=32)
         parallel = betweenness(graph, jobs=2, batch_size=32)
         assert np.array_equal(sequential, parallel)
@@ -107,6 +123,78 @@ class TestDeterminismAndJobs:
         a = betweenness(graph, batch_size=16)
         b = betweenness(graph, batch_size=80)
         assert np.allclose(a, b, atol=1e-9)
+
+
+def parted_graph(rng, parts: int, size: int, p: float, directed: bool) -> np.ndarray:
+    """Random arcs inside `parts` blocks of `size` nodes, none between blocks,
+    and two isolated nodes at the end."""
+    n = parts * size + 2
+    adj = np.zeros((n, n), dtype=bool)
+    for k in range(parts):
+        block = slice(k * size, (k + 1) * size)
+        adj[block, block] = rng.random((size, size)) < p
+    if not directed:
+        adj |= adj.T
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+class TestDenseAndSparseAdjacency:
+    """Graphs above DENSE_DENSITY run on an ndarray adjacency, the rest on
+    CSR; both run the same recurrences."""
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize(
+        "size, p, dense", [(10, 0.5, True), (14, 0.1, False)], ids=["dense", "sparse"]
+    )
+    def test_matches_oracle_with_disconnected_parts(self, size, p, dense, directed):
+        rng = np.random.default_rng(41)
+        for trial in range(6):
+            adj = parted_graph(rng, 3, size, p, directed)
+            graph = graph_from_dense(adj, directed=directed)
+            assert runs_dense(graph) == dense, f"trial {trial}"
+            got = betweenness(graph, batch_size=8)
+            want = brute_betweenness(adj, directed=directed)
+            assert np.allclose(got, want, atol=1e-9), f"trial {trial}"
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_batch_dependencies_same_on_ndarray_and_csr(self, directed):
+        rng = np.random.default_rng(42)
+        adj = parted_graph(rng, 2, 40, 0.15, directed).astype(np.float64)
+        csr = sp.csr_matrix(adj)
+        sources = np.arange(3, 40)
+        dense = _batch_dependencies(adj, adj.T, sources)
+        sparse = _batch_dependencies(csr, csr.T.tocsr(), sources)
+        assert np.any(sparse > 0)
+        np.testing.assert_allclose(dense, sparse, rtol=1e-12, atol=0)
+
+    def test_blas_thread_count_changes_only_last_bits(self, tmp_path):
+        # Only --jobs is bitwise: the dense backward sums are BLAS GEMMs whose
+        # summation order depends on the thread count.
+        script = (
+            "import sys, numpy as np, scipy.sparse as sp\n"
+            "sys.path.insert(0, sys.argv[2])\n"
+            "from interdisc.centrality import DENSE_DENSITY, betweenness\n"
+            "from interdisc.netspace import BinaryGraph\n"
+            "adj = np.random.default_rng(43).random((400, 400)) < 0.08\n"
+            "adj |= adj.T\n"
+            "np.fill_diagonal(adj, False)\n"
+            "assert adj.sum() > DENSE_DENSITY * adj.size\n"
+            "graph = BinaryGraph(n=400, directed=False, adjacency=sp.csr_matrix(adj))\n"
+            "np.save(sys.argv[1], betweenness(graph))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        scores = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.npy"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-c", script, str(out), src],
+                env=env, check=True, timeout=120,
+            )
+            scores.append(np.load(out))
+        assert np.any(scores[0] > 0)
+        np.testing.assert_allclose(scores[0], scores[1], rtol=1e-12, atol=0)
 
 
 class TestNormalization:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from interdisc.cli import main
-from interdisc.pipeline import INDICATOR_NAMES
+from interdisc.pipeline import INDICATOR_NAMES, file_digest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -98,6 +98,42 @@ class TestIndicatorsCommand:
         out = tmp_path / "flag_wins"
         assert run(["indicators", "--edges", edges_path, "--config", config, "--outdir", out]) == 0
         assert (out / "indicators.json").exists()
+
+    def test_int_for_float_config_field_matches_default_run(self, edges_path, tmp_path):
+        out = tmp_path / "o"
+        argv = ["indicators", "--edges", edges_path, "--outdir", out]
+        names = ("indicators_cited.csv", "indicators_citing.csv", "indicators.json")
+        assert run(argv) == 0
+        default = {name: (out / name).read_bytes() for name in names}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"cosine_threshold": 0}), encoding="utf-8")
+        assert run(argv + ["--config", config]) == 0
+        for name in names:
+            assert (out / name).read_bytes() == default[name], name
+
+    def test_names_file_bom_does_not_change_reports(self, tmp_path):
+        import scipy.io
+        import scipy.sparse as sp
+
+        counts = np.array([[0, 2, 1, 0], [3, 0, 4, 1], [1, 5, 0, 2], [2, 0, 3, 0]])
+        mm = tmp_path / "m.mtx"
+        scipy.io.mmwrite(str(mm), sp.coo_matrix(counts), field="integer")
+        names_path = tmp_path / "names.txt"
+        out = tmp_path / "o"
+        reports = ("indicators_cited.csv", "indicators_citing.csv", "indicators.json",
+                   "ranking_entropy.csv")
+        runs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            names_path.write_bytes(prefix + b"Alpha\nBeta\nGamma\nDelta\n")
+            common = ["--matrix-market", mm, "--names", names_path, "--outdir", out]
+            assert run(["indicators", *common]) == 0
+            assert run(["rank", "entropy", *common]) == 0
+            # the names file's own digest differs; every other byte must not
+            digest = file_digest(names_path).encode()
+            runs.append({name: (out / name).read_bytes().replace(digest, b"<names>")
+                         for name in reports})
+        assert b"Alpha" in runs[0]["indicators_cited.csv"]
+        assert runs[1] == runs[0]
 
 
 class TestRankCommand:
@@ -481,6 +517,12 @@ class TestOptionValidation:
     def test_config_value_of_wrong_type_is_usage_error(self, edges_path, tmp_path, config):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["indicators", "--edges", edges_path, "--outdir", tmp_path / "o"]
+        assert run(argv + ["--config", path]) == 1
+
+    def test_config_float_out_of_range_is_usage_error(self, edges_path, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"cosine_threshold": 10**400}), encoding="utf-8")
         argv = ["indicators", "--edges", edges_path, "--outdir", tmp_path / "o"]
         assert run(argv + ["--config", path]) == 1
 
