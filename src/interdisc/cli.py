@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: indicators, rank, correlate, factor, subset, synth,
-export-matrix.  Options may come from a JSON config file (--config); command
-line flags override the file.  Exit codes: 0 success, 1 usage error, 2 data
-error, 3 numerical error.
+export-matrix.  `indicators` and `subset` compute every indicator; `rank`,
+`correlate` and `factor` compute only the columns they report.  Options may
+come from a JSON config file (--config); command line flags override the
+file.  Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 """
 
 from __future__ import annotations
@@ -107,15 +108,30 @@ _CONFIG_FLAGS = [
 ]
 
 
+def _split(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(part) for part in _split(text)]
+    except ValueError:
+        raise UsageError(f"{flag} takes comma-separated integers, not {text!r}") from None
+
+
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:  # missing, a directory, or unreadable
+        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"{what} is not valid JSON: {exc}") from None
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if getattr(args, "config", None):
-        try:
-            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise DataError(f"config file not found: {args.config}") from None
-        except json.JSONDecodeError as exc:
-            raise DataError(f"config file is not valid JSON: {exc}") from None
+        data = _read_json(args.config, "config file")
         if not isinstance(data, dict):
             raise UsageError(f"config file must hold a JSON object: {args.config}")
     for name in _CONFIG_FLAGS:
@@ -125,14 +141,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for name in ("directions", "metrics"):
         value = getattr(args, name, None)
         if value is not None:
-            data[name] = [part.strip() for part in value.split(",") if part.strip()]
+            data[name] = _split(value)
     config = RunConfig.from_dict(data)
-    for direction in config.directions:
-        if direction not in ("cited", "citing"):
-            raise UsageError(f"unknown direction: {direction!r}")
-    for metric in config.metrics:
-        if metric not in ("one_minus_cosine", "relative_euclidean"):
-            raise UsageError(f"unknown metric: {metric!r}")
     if math.isnan(config.cosine_threshold):
         raise UsageError("--cosine-threshold must be a number, not nan")
     if config.jobs < 1:
@@ -140,9 +150,20 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _outdir(config: RunConfig) -> Path:
-    out = Path(config.outdir)
-    out.mkdir(parents=True, exist_ok=True)
+def _outdir(path: str) -> Path:
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. the path names an existing file
+        raise UsageError(f"cannot create output directory {path}: {exc.strerror}") from None
+    return out
+
+
+def _write_indicator_reports(table, config: RunConfig, digests: dict[str, str]) -> Path:
+    out = _outdir(config.outdir)
+    for direction in dict.fromkeys(config.directions):
+        write_indicator_csv(table, direction, out / f"indicators_{direction}.csv", config, digests)
+    write_combined_json(table, out / "indicators.json", config, digests)
     return out
 
 
@@ -150,12 +171,7 @@ def cmd_indicators(args) -> int:
     config = resolve_config(args)
     corpus = load_corpus(config)
     table = compute_indicator_table(corpus.matrix, corpus.registry, config)
-    out = _outdir(config)
-    for direction in config.directions:
-        write_indicator_csv(
-            table, direction, out / f"indicators_{direction}.csv", config, corpus.digests
-        )
-    write_combined_json(table, out / "indicators.json", config, corpus.digests)
+    out = _write_indicator_reports(table, config, corpus.digests)
     print(f"wrote indicators for {len(table)} journals to {out}")
     return 0
 
@@ -165,7 +181,9 @@ def cmd_rank(args) -> int:
         raise UsageError(f"--top must be at least 0, not {args.top}")
     config = resolve_config(args)
     corpus = load_corpus(config)
-    table = compute_indicator_table(corpus.matrix, corpus.registry, config)
+    # the column `ranking` resolves: the name as given, else with the direction
+    columns = [args.indicator, f"{args.indicator}_{args.direction}"]
+    table = compute_indicator_table(corpus.matrix, corpus.registry, config, columns)
     rows = ranking(
         table,
         args.indicator,
@@ -175,7 +193,7 @@ def cmd_rank(args) -> int:
         append_journal=args.append_journal,
         sqrt_values=args.sqrt,
     )
-    out = _outdir(config)
+    out = _outdir(config.outdir)
     path = out / f"ranking_{args.indicator}.csv"
     write_ranking_csv(rows, args.indicator, path, config, corpus.digests)
     for row in rows:
@@ -185,32 +203,25 @@ def cmd_rank(args) -> int:
     return 0
 
 
-def _table_for_stats(args, config: RunConfig):
+def _table_for_stats(args, config: RunConfig, default_columns: list[str]):
+    """The table of the --columns (else the defaults), degenerate rows dropped."""
+    columns = _split(args.columns) if args.columns else default_columns
     corpus = load_corpus(config)
-    table = compute_indicator_table(corpus.matrix, corpus.registry, config)
+    table = compute_indicator_table(corpus.matrix, corpus.registry, config, columns)
+    missing = [c for c in columns if c not in table.columns]
+    if missing:
+        raise UsageError(f"unknown indicator columns: {missing}")
     if not args.include_degenerate:
-        mask = np.ones(len(table), dtype=bool)
-        for direction in config.directions:
-            flag = table.flags.get(f"degenerate_{direction}")
-            if flag is not None:
-                mask &= ~flag
-        table = table.select_rows(mask)
-    return corpus, table
+        degenerate = [table.flags[f"degenerate_{d}"] for d in config.directions]
+        table = table.select_rows(~np.logical_or.reduce(degenerate))
+    return corpus, table, columns
 
 
 def cmd_correlate(args) -> int:
     config = resolve_config(args)
-    columns = (
-        [c.strip() for c in args.columns.split(",") if c.strip()]
-        if args.columns
-        else DEFAULT_CORRELATE_COLUMNS
-    )
-    corpus, table = _table_for_stats(args, config)
-    missing = [c for c in columns if c not in table.columns]
-    if missing:
-        raise UsageError(f"unknown indicator columns: {missing}")
+    corpus, table, columns = _table_for_stats(args, config, DEFAULT_CORRELATE_COLUMNS)
     corr = spearman_matrix(table, columns)
-    out = _outdir(config)
+    out = _outdir(config.outdir)
     write_correlations(
         corr, out / "correlations.csv", out / "correlations.json", config, corpus.digests
     )
@@ -220,18 +231,10 @@ def cmd_correlate(args) -> int:
 
 def cmd_factor(args) -> int:
     config = resolve_config(args)
-    columns = (
-        [c.strip() for c in args.columns.split(",") if c.strip()]
-        if args.columns
-        else DEFAULT_FACTOR_COLUMNS
-    )
-    corpus, table = _table_for_stats(args, config)
-    missing = [c for c in columns if c not in table.columns]
-    if missing:
-        raise UsageError(f"unknown indicator columns: {missing}")
+    corpus, table, columns = _table_for_stats(args, config, DEFAULT_FACTOR_COLUMNS)
     pca_result = pca(table, columns, config.factors_k)
     solution = varimax(pca_result.loadings)
-    out = _outdir(config)
+    out = _outdir(config.outdir)
     write_factors(
         pca_result,
         solution,
@@ -259,33 +262,37 @@ def cmd_subset(args) -> int:
         if not ids:
             raise DataError(f"no journals in category {args.category!r}")
     elif args.ids:
-        ids = [int(part) for part in args.ids.split(",") if part.strip()]
+        ids = _int_list(args.ids, "--ids")
     else:
         raise UsageError("subset needs --category or --ids")
     table, registry = scope_table(corpus, ids, args.mode, config)
-    out = _outdir(config)
-    for direction in config.directions:
-        write_indicator_csv(
-            table, direction, out / f"indicators_{direction}.csv", config, corpus.digests
-        )
-    write_combined_json(table, out / "indicators.json", config, corpus.digests)
+    out = _write_indicator_reports(table, config, corpus.digests)
     print(f"wrote subset indicators ({len(table)} journals, {args.mode}) to {out}")
     return 0
 
 
 def _synth_spec_from_args(args) -> SyntheticSpec:
     if args.spec_json:
-        data = json.loads(Path(args.spec_json).read_text(encoding="utf-8"))
-        bridges = [BridgeSpec(**b) for b in data.pop("bridges", [])]
-        generalists = [GeneralistSpec(**g) for g in data.pop("generalists", [])]
-        if "evenness_range" in data:
-            data["evenness_range"] = tuple(data["evenness_range"])
-        return SyntheticSpec(bridges=bridges, generalists=generalists, **data)
+        data = _read_json(args.spec_json, "spec file")
+        if not isinstance(data, dict):
+            raise DataError(f"spec file must hold a JSON object: {args.spec_json}")
+        try:
+            bridges = [BridgeSpec(**b) for b in data.pop("bridges", [])]
+            generalists = [GeneralistSpec(**g) for g in data.pop("generalists", [])]
+            if "evenness_range" in data:
+                data["evenness_range"] = tuple(data["evenness_range"])
+            spec = SyntheticSpec(bridges=bridges, generalists=generalists, **data)
+            spec.validate()
+        except TypeError as exc:  # an unknown or missing key, or a value of the wrong type
+            raise DataError(f"invalid spec file {args.spec_json}: {exc}") from None
+        return spec
     if not args.clusters:
         raise UsageError("synth needs --clusters or --spec-json")
-    sizes = [int(part) for part in args.clusters.split(",") if part.strip()]
+    for flag in ("bridges", "generalists"):
+        if getattr(args, flag) < 0:
+            raise UsageError(f"--{flag} must be at least 0, not {getattr(args, flag)}")
     return uniform_spec(
-        sizes,
+        _int_list(args.clusters, "--clusters"),
         within_rate=args.within_rate,
         leakage_rate=args.leakage,
         n_bridges=args.bridges,
@@ -298,8 +305,7 @@ def _synth_spec_from_args(args) -> SyntheticSpec:
 def cmd_synth(args) -> int:
     spec = _synth_spec_from_args(args)
     corpus = generate(spec)
-    out = Path(args.outdir if args.outdir else "out")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _outdir(args.outdir or "out")
     edges = out / "edges.csv"
     truth = out / "synth_truth.json"
     write_corpus(corpus, edges, truth)

@@ -17,7 +17,12 @@ import scipy.sparse as sp
 
 from .corpus import CitationMatrix, Direction
 from .errors import ContractError, EmptyCorpusError, UndefinedIndicatorError
-from .netspace import _l1_normalize_rows, _l2_normalize_rows
+from .netspace import (
+    CANCELLATION_RATIO,
+    _l1_normalize_rows,
+    _l2_normalize_rows,
+    _undo_cancellation,
+)
 
 # Journals per block when evaluating the per-journal quadratic forms; bounds
 # the size of the intermediate sparse products.
@@ -197,7 +202,9 @@ def _all_euclidean_pairs(axis: sp.csr_matrix, p_def: sp.csr_matrix) -> np.ndarra
     d(a, b)^2 = |q_a|^2 + |q_b|^2 - 2 q_a.q_b over the probability-normalized
     vectors q.  The square root rules out a bilinear split, so d is evaluated
     explicitly, but only on the off-diagonal pairs that share some journal's
-    distribution (the support of B^T B for the pattern B of `p_def`).
+    distribution (the support of B^T B for the pattern B of `p_def`).  Pairs
+    whose d^2 cancels to below CANCELLATION_RATIO of |q_a|^2 + |q_b|^2 are
+    recomputed from their differences.
     """
     prob, _ = _l1_normalize_rows(axis)
     pattern = p_def.astype(bool).astype(np.int32)
@@ -209,6 +216,10 @@ def _all_euclidean_pairs(axis: sp.csr_matrix, p_def: sp.csr_matrix) -> np.ndarra
         (sq[row_of] + sq[pairs.indices], pairs.indices, pairs.indptr), shape=pairs.shape
     )
     dist = (sq_sums - 2.0 * pairs.multiply(prob.dot(prob.T))).tocsr()
+    near = np.flatnonzero(dist.data <= 2 * CANCELLATION_RATIO * sq.max())
+    rows = np.searchsorted(dist.indptr, near, side="right") - 1
+    cols = dist.indices[near]
+    dist.data[near] = _undo_cancellation(prob, sq, rows, cols, dist.data[near])
     np.clip(dist.data, 0.0, None, out=dist.data)
     np.sqrt(dist.data, out=dist.data)
     return _row_quadratic_forms(p_def, dist)

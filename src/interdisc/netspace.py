@@ -24,7 +24,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .corpus import CitationMatrix, Direction
-from .errors import CountOverflowError, EmptyCorpusError, UndefinedIndicatorError
+from .errors import CountOverflowError, DataError, EmptyCorpusError, UndefinedIndicatorError
 
 
 class MatrixKind(str, Enum):
@@ -34,9 +34,26 @@ class MatrixKind(str, Enum):
     COOCCURRENCE = "cooccurrence"
 
 
-class DiagonalPolicy(str, Enum):
-    ZEROED = "zeroed"
-    NATURAL = "natural"
+# A squared distance formed as |a|^2 + |b|^2 - 2 a.b keeps few correct digits
+# once it falls below this fraction of |a|^2 + |b|^2; for identical vectors it
+# leaves rounding noise that the square root lifts to ~1e-8.
+CANCELLATION_RATIO = 1e-3
+
+
+def _undo_cancellation(
+    q: sp.csr_matrix, sq: np.ndarray, rows: np.ndarray, cols: np.ndarray, d2: np.ndarray
+) -> np.ndarray:
+    """Gram-form squared distances `d2` of the pairs (rows[k], cols[k]) of
+    rows of `q` (squared norms `sq`), with every one below CANCELLATION_RATIO
+    of its scale recomputed from the differences themselves.
+
+    Callers pass a superset of those pairs: the ones with d2 at most
+    2 * CANCELLATION_RATIO * sq.max(), found without gathering every scale.
+    """
+    redo = d2 <= CANCELLATION_RATIO * (sq[rows] + sq[cols])
+    diff = q[rows[redo]] - q[cols[redo]]
+    d2[redo] = np.asarray(diff.multiply(diff).sum(axis=1)).ravel()
+    return d2
 
 
 def _l2_normalize_rows(m: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -58,25 +75,20 @@ def _l1_normalize_rows(m: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
 class SymmetricValueMatrix:
     """Symmetric n x n value store, held as a dense array or a sparse matrix.
 
-    `defined` flags journals whose underlying vector is nonempty; cells where
-    either side is undefined hold NaN for distance kinds.
+    Distance kinds hold NaN in cells where either journal's vector is empty.
     """
 
     def __init__(
         self,
         n: int,
         kind: MatrixKind,
-        diagonal_policy: DiagonalPolicy,
         dense: np.ndarray | None = None,
         sparse: sp.spmatrix | None = None,
-        defined: np.ndarray | None = None,
     ):
         self.n = n
         self.kind = kind
-        self.diagonal_policy = diagonal_policy
         self._dense = dense
         self._sparse = sparse.tocsr() if sparse is not None else None
-        self.defined = defined if defined is not None else np.ones(n, dtype=bool)
 
     def block(self, ids: np.ndarray) -> np.ndarray:
         """Dense sub-matrix for the given ids (in the given order)."""
@@ -142,13 +154,7 @@ def cosine_matrix(
     gram = np.asarray(unit.dot(unit.T).todense())
     np.clip(gram, 0.0, 1.0, out=gram)
     np.fill_diagonal(gram, np.where(defined, 1.0, 0.0))
-    return SymmetricValueMatrix(
-        matrix.n,
-        MatrixKind.COSINE_SIMILARITY,
-        DiagonalPolicy.NATURAL,
-        dense=gram,
-        defined=defined,
-    )
+    return SymmetricValueMatrix(matrix.n, MatrixKind.COSINE_SIMILARITY, dense=gram)
 
 
 def cooccurrence(
@@ -167,12 +173,7 @@ def cooccurrence(
         )
     product = a.dot(a.T).tocsr()
     product.eliminate_zeros()
-    return SymmetricValueMatrix(
-        matrix.n,
-        MatrixKind.COOCCURRENCE,
-        DiagonalPolicy.NATURAL,
-        sparse=product,
-    )
+    return SymmetricValueMatrix(matrix.n, MatrixKind.COOCCURRENCE, sparse=product)
 
 
 def cooccurrence_support(
@@ -253,23 +254,30 @@ def distance_matrix(
         dense = 1.0 - gram
     else:
         d2 = sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram
+        rows, cols = np.nonzero(d2 <= 2 * CANCELLATION_RATIO * sq_norms.max())
+        d2[rows, cols] = _undo_cancellation(prob, sq_norms, rows, cols, d2[rows, cols])
         np.clip(d2, 0.0, None, out=d2)
         dense = np.sqrt(d2)
     undef = ~defined
     dense[undef, :] = np.nan
     dense[:, undef] = np.nan
     np.fill_diagonal(dense, 0.0)
-    return SymmetricValueMatrix(
-        matrix.n, kind, DiagonalPolicy.ZEROED, dense=dense, defined=defined
-    )
+    return SymmetricValueMatrix(matrix.n, kind, dense=dense)
 
 
 def export_matrix_market(sym: SymmetricValueMatrix, path: str | Path) -> None:
     """Write a symmetric value matrix in Matrix Market format.
 
     The matrix is written from its dense form; NaN (undefined) cells are
-    written as-is so the gaps stay visible to external tools.
+    written as-is so the gaps stay visible to external tools.  A path that
+    cannot be opened for writing is a data error.
     """
     dense = sym.to_dense()
     field = "integer" if sym.kind is MatrixKind.COOCCURRENCE else "real"
-    scipy.io.mmwrite(str(path), sp.coo_matrix(dense), field=field, symmetry="symmetric")
+    try:
+        # mmwrite given a path name ignores a failed open and writes nothing
+        fh = open(path, "wb")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
+    with fh:
+        scipy.io.mmwrite(fh, sp.coo_matrix(dense), field=field, symmetry="symmetric")

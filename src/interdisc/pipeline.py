@@ -28,7 +28,7 @@ from .corpus import (
     subset,
 )
 from .diversity import diversity_all
-from .errors import DataError, UsageError
+from .errors import DataError, EmptyCorpusError, UsageError
 from .netspace import binarize, binarize_directed, cooccurrence_support, cosine_matrix
 from .stats import (
     CorrelationMatrix,
@@ -39,29 +39,33 @@ from .stats import (
     significance_stars,
 )
 
-VECTOR_INDICATORS = ["gini", "gini_normalized", "entropy", "entropy_normalized"]
-BETWEENNESS_INDICATORS = [
-    "betweenness_citations",
-    "betweenness_citations_normalized",
-    "betweenness_cosine",
-    "betweenness_cosine_normalized",
-]
-DIVERSITY_INDICATORS = [
-    "rao_stirling_one_minus_cosine",
-    "rao_stirling_relative_euclidean",
-]
-SIZE_INDICATORS = ["degree", "total_citations"]
-INDICATOR_NAMES = (
-    VECTOR_INDICATORS + BETWEENNESS_INDICATORS + DIVERSITY_INDICATORS + SIZE_INDICATORS
+
+@dataclass(frozen=True)
+class Indicator:
+    """An indicator, reported per direction as `<name>_<direction>`; `family`
+    names the computation that yields it and the rest of its family."""
+
+    name: str
+    family: str
+    order: str = "descending"  # "ascending": small values mean interdisciplinary
+    diversity: bool = False
+
+
+# The paper's 12 indicators per direction, in report column order.
+INDICATORS = (
+    Indicator("gini", "vector", "ascending"),
+    Indicator("gini_normalized", "vector", "ascending"),
+    Indicator("entropy", "vector"),
+    Indicator("entropy_normalized", "vector"),
+    Indicator("betweenness_citations", "raw_betweenness"),
+    Indicator("betweenness_citations_normalized", "raw_betweenness"),
+    Indicator("betweenness_cosine", "cosine_betweenness"),
+    Indicator("betweenness_cosine_normalized", "cosine_betweenness"),
+    Indicator("rao_stirling_one_minus_cosine", "one_minus_cosine", diversity=True),
+    Indicator("rao_stirling_relative_euclidean", "relative_euclidean", diversity=True),
+    Indicator("degree", "size"),
+    Indicator("total_citations", "size"),
 )
-
-METRIC_COLUMN = {
-    "one_minus_cosine": "rao_stirling_one_minus_cosine",
-    "relative_euclidean": "rao_stirling_relative_euclidean",
-}
-
-# Indicators where small values mean interdisciplinary, ranked ascending.
-ASCENDING_INDICATORS = ("gini", "gini_normalized")
 
 LOADING_DISPLAY_THRESHOLD = 0.1
 
@@ -95,6 +99,17 @@ class RunConfig:
     factors_k: int = 3
     seed: int = 0
     jobs: int = 1
+
+    def __post_init__(self) -> None:
+        # the table leaves out what it does not know, so reject it here
+        if not self.directions:
+            raise UsageError("directions must name at least one direction")
+        for direction in self.directions:
+            if direction not in {d.value for d in Direction}:
+                raise UsageError(f"unknown direction: {direction!r}")
+        for metric in self.metrics:
+            if metric not in {i.family for i in INDICATORS if i.diversity}:
+                raise UsageError(f"unknown metric: {metric!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -156,6 +171,8 @@ def load_corpus(config: RunConfig) -> LoadedCorpus:
             digests["names"] = file_digest(config.names_file)
     else:
         raise UsageError("no input file given")
+    if matrix.nnz == 0:  # e.g. --min-count dropped every cell
+        raise EmptyCorpusError("citation matrix has no cells")
     unmatched = 0
     if config.metadata:
         unmatched = load_metadata(config.metadata, registry)
@@ -167,16 +184,49 @@ def load_corpus(config: RunConfig) -> LoadedCorpus:
     )
 
 
-def _cosine_variant_graph(matrix: CitationMatrix, direction: Direction, threshold: float):
-    if threshold == 0.0:
-        return binarize(cooccurrence_support(matrix, direction))
-    return binarize(cosine_matrix(matrix, direction), threshold=threshold)
+def _family_columns(
+    family: str, matrix: CitationMatrix, direction: Direction, config: RunConfig
+) -> tuple[np.ndarray, ...]:
+    """One family's columns for one direction, in catalogue order."""
+    n = matrix.n
+    if family == "raw_betweenness":  # one directed graph serves both directions
+        scores = ct.betweenness(binarize_directed(matrix), jobs=config.jobs)
+        return scores, ct.normalize_betweenness(scores, n, directed=True)
+    if family == "cosine_betweenness":
+        if config.cosine_threshold == 0.0:
+            graph = binarize(cooccurrence_support(matrix, direction))
+        else:
+            graph = binarize(cosine_matrix(matrix, direction), threshold=config.cosine_threshold)
+        scores = ct.betweenness(graph, jobs=config.jobs)
+        return scores, ct.normalize_betweenness(scores, n, directed=False)
+    axis = matrix.axis_matrix(direction)
+    if family == "vector":
+        return vi.vector_indicator_columns(axis, n if config.gini_include_zeros else None)
+    if family == "size":
+        support = np.diff(axis.indptr)
+        degree = (support - (matrix.tocsr().diagonal() > 0)).astype(np.float64)
+        totals = np.asarray(axis.sum(axis=1), dtype=np.float64).ravel()
+        degree[support == 0] = totals[support == 0] = np.nan
+        return degree, totals
+    results = diversity_all(  # the Rao-Stirling families are named by their metric
+        matrix, direction, family, triangle_sum=config.triangle_sum,
+        exclude_self_citations=config.exclude_self_citations_from_p,
+    )
+    return (np.array([np.nan if r.missing else r.d_value for r in results]),)
 
 
 def compute_indicator_table(
-    matrix: CitationMatrix, registry: JournalRegistry, config: RunConfig
+    matrix: CitationMatrix,
+    registry: JournalRegistry,
+    config: RunConfig,
+    columns: list[str] | None = None,
 ) -> IndicatorTable:
-    """All indicators for all journals, columns suffixed by direction.
+    """Indicators for all journals, columns suffixed by direction.
+
+    Without `columns`, every catalogue indicator of `config.directions` (the
+    Rao-Stirling ones of `config.metrics`); with `columns`, only the families
+    those names need, each run once (raw betweenness once for both directions).
+    `support_*`, `degenerate_*` and the metadata columns are always added.
 
     Journals with an empty vector in a direction get NaN across that
     direction's columns and a raised degeneracy flag; single-cell journals
@@ -186,60 +236,22 @@ def compute_indicator_table(
     table = IndicatorTable(
         journal_ids=list(range(n)), names=[registry.name_of(j) for j in range(n)]
     )
-
-    raw_scores = ct.betweenness(binarize_directed(matrix), jobs=config.jobs)
-    raw_norm = ct.normalize_betweenness(raw_scores, n, directed=True)
-
-    diag = matrix.tocsr().diagonal()
-    for direction_name in config.directions:
-        direction = Direction(direction_name)
-        axis = matrix.axis_matrix(direction)
-        support = np.diff(axis.indptr)
-        degenerate = support <= 1
-        totals = np.asarray(axis.sum(axis=1)).ravel()
-        degree = support - (diag > 0)
-
-        gini_col, gini_norm_col, entropy_col, entropy_norm_col = (
-            vi.vector_indicator_columns(axis, n if config.gini_include_zeros else None)
-        )
-
-        graph = _cosine_variant_graph(matrix, direction, config.cosine_threshold)
-        cos_scores = ct.betweenness(graph, jobs=config.jobs)
-        cos_norm = ct.normalize_betweenness(cos_scores, n, directed=False)
-
-        suffix = f"_{direction.value}"
-        table.add_column("gini" + suffix, gini_col)
-        table.add_column("gini_normalized" + suffix, gini_norm_col)
-        table.add_column("entropy" + suffix, entropy_col)
-        table.add_column("entropy_normalized" + suffix, entropy_norm_col)
-        table.add_column("betweenness_citations" + suffix, raw_scores)
-        table.add_column("betweenness_citations_normalized" + suffix, raw_norm)
-        table.add_column("betweenness_cosine" + suffix, cos_scores)
-        table.add_column("betweenness_cosine_normalized" + suffix, cos_norm)
-
-        for metric in config.metrics:
-            results = diversity_all(
-                matrix,
-                direction,
-                metric,
-                exclude_self_citations=config.exclude_self_citations_from_p,
-                triangle_sum=config.triangle_sum,
-            )
-            col = np.full(n, np.nan)
-            for r in results:
-                if not r.missing:
-                    col[r.journal_id] = r.d_value
-            table.add_column(METRIC_COLUMN[metric] + suffix, col)
-
-        deg_col = degree.astype(np.float64)
-        tot_col = totals.astype(np.float64)
-        deg_col[support == 0] = np.nan
-        tot_col[support == 0] = np.nan
-        table.add_column("degree" + suffix, deg_col)
-        table.add_column("total_citations" + suffix, tot_col)
-        table.add_flag("degenerate" + suffix, degenerate)
-        table.add_column("support" + suffix, support.astype(np.float64))
-
+    computed: dict[tuple, dict[str, np.ndarray]] = {}  # (family, direction) -> columns
+    for direction in map(Direction, dict.fromkeys(config.directions)):
+        for indicator in INDICATORS:
+            name, family = f"{indicator.name}_{direction.value}", indicator.family
+            if (indicator.diversity and family not in config.metrics) or (
+                columns is not None and name not in columns
+            ):
+                continue
+            key = (family, None if family == "raw_betweenness" else direction)
+            if key not in computed:
+                members = [i.name for i in INDICATORS if i.family == family]
+                computed[key] = dict(zip(members, _family_columns(family, matrix, direction, config)))
+            table.add_column(name, computed[key][indicator.name])
+        support = np.diff(matrix.axis_matrix(direction).indptr)
+        table.add_flag(f"degenerate_{direction.value}", support <= 1)
+        table.add_column(f"support_{direction.value}", support.astype(np.float64))
     _attach_metadata_columns(table, registry)
     return table
 
@@ -307,9 +319,7 @@ def write_indicator_csv(
 ) -> None:
     suffix = f"_{direction}"
     # a restricted --metrics or --directions run computes fewer columns
-    columns = [
-        name + suffix for name in INDICATOR_NAMES if name + suffix in table.columns
-    ]
+    columns = [i.name + suffix for i in INDICATORS if i.name + suffix in table.columns]
     lines = provenance_lines(config, digests)
     lines.append(
         "# note: betweenness_citations is computed on the directed citation "
@@ -360,9 +370,12 @@ def write_combined_json(
     )
 
 
-def rank_order_for(indicator: str) -> str:
-    base = indicator.removesuffix("_cited").removesuffix("_citing")
-    return "ascending" if base in ASCENDING_INDICATORS else "descending"
+def _indicator_of(column: str) -> Indicator:
+    """The catalogue indicator of a column name, with or without its direction;
+    columns outside the catalogue (support, metadata) rank descending."""
+    for direction in Direction:
+        column = column.removesuffix(f"_{direction.value}")
+    return next((i for i in INDICATORS if i.name == column), Indicator(column, "other"))
 
 
 @dataclass
@@ -394,7 +407,7 @@ def ranking(
     column_name = indicator if indicator in table.columns else f"{indicator}_{direction}"
     if column_name not in table.columns:
         raise UsageError(f"unknown indicator: {indicator!r}")
-    if sqrt_values and not indicator.startswith("rao_stirling"):
+    if sqrt_values and not _indicator_of(column_name).diversity:
         raise UsageError("--sqrt applies only to diversity indicators")
     values = table.column(column_name).copy()
     eligible = ~np.isnan(values)
@@ -405,7 +418,7 @@ def ranking(
         warnings.warn("all journals are degenerate or missing; ranking is empty")
         return []
     masked = np.where(eligible, values, np.nan)
-    ranks = rank_column(masked, order=rank_order_for(column_name))
+    ranks = rank_column(masked, order=_indicator_of(column_name).order)
 
     order = np.argsort(ranks, kind="stable")
     rows: list[RankedRow] = []
@@ -459,7 +472,7 @@ def write_ranking_csv(
     digests: dict[str, str],
 ) -> None:
     lines = provenance_lines(config, digests)
-    lines.append(f"# indicator: {indicator} (order: {rank_order_for(indicator)})")
+    lines.append(f"# indicator: {indicator} (order: {_indicator_of(indicator).order})")
     lines.append("rank,journal_id,name,value,appended")
     for row in rows:
         lines.append(

@@ -3,11 +3,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from interdisc.corpus import JournalRegistry, load_edge_list
 from interdisc.pipeline import RunConfig, compute_indicator_table
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a test run is reproducible.
+settings.register_profile("repeatable", derandomize=True, max_examples=100, deadline=None,
+                          database=None)
+settings.load_profile("repeatable")
 
 # Hand-tallied 3-journal fixture.  Rows are (citing, cited, count); the
 # resulting cells keyed (cited, citing) with first-appearance ids

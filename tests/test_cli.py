@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from interdisc.cli import main
-from interdisc.pipeline import INDICATOR_NAMES, file_digest
+from interdisc import centrality, pipeline
+from interdisc.cli import DEFAULT_CORRELATE_COLUMNS, DEFAULT_FACTOR_COLUMNS, main
+from interdisc.corpus import load_edge_list
+from interdisc.pipeline import INDICATORS, RunConfig, compute_indicator_table, file_digest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,7 +40,7 @@ class TestIndicatorsCommand:
     def test_twelve_indicator_columns_per_direction(self, edges_path, tmp_path):
         out = tmp_path / "out"
         assert run(["indicators", "--edges", edges_path, "--outdir", out]) == 0
-        assert len(INDICATOR_NAMES) == 12
+        assert len(INDICATORS) == 12
         for direction in ("cited", "citing"):
             path = out / f"indicators_{direction}.csv"
             header = [
@@ -48,7 +50,7 @@ class TestIndicatorsCommand:
                 c for c in header if c not in ("journal_id", "name", "support", "degenerate")
             ]
             assert len(indicator_cols) == 12
-            assert indicator_cols == [f"{n}_{direction}" for n in INDICATOR_NAMES]
+            assert indicator_cols == [f"{i.name}_{direction}" for i in INDICATORS]
         combined = json.loads((out / "indicators.json").read_text())
         assert "config" in combined and "inputs" in combined
 
@@ -420,6 +422,109 @@ class TestExportMatrix:
         assert np.count_nonzero(diag == 0.0) == diag.size - len(set(cited))
 
 
+    def test_missing_out_directory_is_data_error(self, edges_path, tmp_path):
+        import scipy.io
+        import scipy.sparse as sp
+
+        target = tmp_path / "missing" / "cos.mtx"
+        argv = ["export-matrix", "--edges", edges_path, "--out", target]
+        assert run(argv) == 2
+        assert not target.parent.exists()
+        # writing through an open file gives the bytes mmwrite writes to a path
+        target.parent.mkdir()
+        assert run(argv) == 0
+        by_path = tmp_path / "by_path.mtx"
+        dense = scipy.io.mmread(str(target)).toarray()
+        scipy.io.mmwrite(str(by_path), sp.coo_matrix(dense), field="real", symmetry="symmetric")
+        assert target.read_bytes() == by_path.read_bytes()
+
+
+class TestComputesOnlyWhatItReports:
+    """Each command asks the table for the columns it reports, and only the
+    families behind those columns run."""
+
+    @pytest.fixture
+    def edges(self, synth_outdir):
+        return synth_outdir / "edges.csv"
+
+    @pytest.fixture
+    def refuse_betweenness_and_diversity(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("this command does not report the column")
+
+        monkeypatch.setattr(centrality, "betweenness", refuse)
+        monkeypatch.setattr(pipeline, "diversity_all", refuse)
+
+    @pytest.fixture
+    def families_run(self, monkeypatch):
+        calls = []
+        family_columns = pipeline._family_columns
+
+        def record(family, matrix, direction, config):
+            calls.append((family, direction.value))
+            return family_columns(family, matrix, direction, config)
+
+        monkeypatch.setattr(pipeline, "_family_columns", record)
+        return calls
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ["entropy", "entropy_cited"],  # rank entropy
+            ["rao_stirling_relative_euclidean", "rao_stirling_relative_euclidean_citing"],
+            ["betweenness_cosine_citing", "betweenness_cosine_citing_cited"],
+            ["total_citations_cited", "betweenness_citations_citing"],
+            DEFAULT_CORRELATE_COLUMNS,
+            DEFAULT_FACTOR_COLUMNS,
+        ],
+    )
+    def test_restricted_columns_equal_full_table(self, edges, columns):
+        registry, matrix = load_edge_list(edges)
+        full = compute_indicator_table(matrix, registry, RunConfig())
+        restricted = compute_indicator_table(matrix, registry, RunConfig(), columns)
+        catalogue = {f"{i.name}_{d}" for i in INDICATORS for d in ("cited", "citing")}
+        assert {c for c in restricted.columns if c in catalogue} == set(columns) & catalogue
+        assert set(restricted.columns) - catalogue == {"support_cited", "support_citing"}
+        for name, column in restricted.columns.items():
+            assert np.array_equal(column, full.column(name), equal_nan=True), name
+        for name, flag in full.flags.items():
+            assert np.array_equal(restricted.flags[name], flag)
+
+    @pytest.mark.usefixtures("refuse_betweenness_and_diversity")
+    @pytest.mark.parametrize("command", [["rank", "entropy"], ["correlate"]])
+    def test_vector_only_commands_run_no_betweenness_or_diversity(self, edges, tmp_path, command):
+        assert run([*command, "--edges", edges, "--outdir", tmp_path / "o"]) == 0
+
+    @pytest.mark.usefixtures("refuse_betweenness_and_diversity")
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["rank", "nonsense"],
+            ["correlate", "--columns", "entropy_cited,nonsense"],
+            ["factor", "--columns", "nonsense"],
+        ],
+    )
+    def test_unknown_column_is_usage_error_before_betweenness(self, edges, tmp_path, command):
+        assert run([*command, "--edges", edges, "--outdir", tmp_path / "o"]) == 1
+
+    def test_default_factor_runs_no_citing_family(self, edges, tmp_path, families_run):
+        assert run(["factor", "--edges", edges, "--outdir", tmp_path / "o"]) == 0
+        assert sorted(families_run) == [
+            ("cosine_betweenness", "cited"),
+            ("one_minus_cosine", "cited"),
+            ("raw_betweenness", "cited"),
+            ("relative_euclidean", "cited"),
+            ("vector", "cited"),
+        ]
+
+    def test_full_table_runs_raw_betweenness_once(self, edges, tmp_path, families_run):
+        assert run(["indicators", "--edges", edges, "--outdir", tmp_path / "o"]) == 0
+        families = [family for family, _ in families_run]
+        assert families.count("raw_betweenness") == 1
+        assert len(families) == 1 + 5 * 2
+        assert len(set(families_run)) == len(families_run)
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self):
         assert main(["frobnicate"]) == 1
@@ -458,6 +563,23 @@ class TestExitCodes:
         path.write_text(text, encoding="utf-8")
         flag = "--edges" if name.endswith(".csv") else "--matrix-market"
         assert run(["indicators", flag, path, "--outdir", tmp_path / "o"]) == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["indicators"],
+            ["rank", "entropy"],
+            ["correlate"],
+            ["factor"],
+            ["subset", "--ids", "0,1"],
+            ["export-matrix", "--out", "cos.mtx"],
+        ],
+    )
+    def test_corpus_emptied_by_min_count_is_2(self, edges_path, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        argv = [*command, "--edges", edges_path, "--min-count", "100", "--outdir", "o"]
+        assert run(argv) == 2
+        assert not (tmp_path / "o").exists() and not (tmp_path / "cos.mtx").exists()
 
     def test_numerical_error_is_3(self, synth_outdir, tmp_path):
         # k larger than the column count triggers a rank error
@@ -525,6 +647,52 @@ class TestOptionValidation:
         path.write_text(json.dumps({"cosine_threshold": 10**400}), encoding="utf-8")
         argv = ["indicators", "--edges", edges_path, "--outdir", tmp_path / "o"]
         assert run(argv + ["--config", path]) == 1
+
+
+class TestTypedErrors:
+    """Bad flag values are usage errors (exit 1); unreadable or invalid files
+    are data errors (exit 2); neither ends in a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            pytest.param(["subset", "--edges", "{edges}", "--ids", "1,x"], 1, id="ids-not-int"),
+            pytest.param(["synth", "--clusters", "a,b"], 1, id="clusters-not-int"),
+            pytest.param(["synth", "--spec-json", "{not_json}"], 2, id="spec-not-json"),
+            pytest.param(["synth", "--spec-json", "{unknown_key}"], 2, id="spec-unknown-key"),
+            pytest.param(["synth", "--spec-json", "{wrong_type}"], 2, id="spec-wrong-type"),
+            pytest.param(["synth", "--spec-json", "{not_object}"], 2, id="spec-not-object"),
+            pytest.param(["indicators", "--edges", "{edges}", "--config", "{directory}"], 2,
+                         id="config-is-directory"),
+            pytest.param(["indicators", "--edges", "{edges}", "--outdir", "{file}"], 1,
+                         id="outdir-is-file"),
+            pytest.param(["synth", "--clusters", "4,4", "--outdir", "{file}"], 1,
+                         id="synth-outdir-is-file"),
+            pytest.param(["indicators", "--edges", "{edges}", "--directions", ","], 1,
+                         id="no-direction"),
+            pytest.param(["synth", "--clusters", "4,4", "--bridges", "-3"], 1,
+                         id="negative-bridges"),
+            pytest.param(["synth", "--clusters", "4,4", "--generalists", "-2"], 1,
+                         id="negative-generalists"),
+        ],
+    )
+    def test_bad_value_is_typed_error(self, edges_path, tmp_path, argv, code):
+        files = {
+            "not_json": "{\"cluster_sizes\": [4, 4],",
+            "unknown_key": json.dumps({"cluster_sizes": [4, 4], "colour": "red"}),
+            "wrong_type": json.dumps({"cluster_sizes": [4, 4], "within_rate": "high"}),
+            "not_object": json.dumps([4, 4]),
+            "file": "",
+        }
+        paths = {"edges": edges_path, "directory": tmp_path}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(text, encoding="utf-8")
+        argv = [part.format(**paths) for part in argv]
+        if "--outdir" not in argv:
+            argv += ["--outdir", str(tmp_path / "o")]
+        assert run(argv) == code
+        assert not (tmp_path / "o").exists()
 
 
 class TestTracedRun:

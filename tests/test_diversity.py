@@ -165,6 +165,17 @@ class TestDiversityAll:
                     total_undef += r.undefined_pairs
         assert total_undef > 0  # the fixture genuinely exercises undefined pairs
 
+    def test_near_identical_distributions_keep_their_digits(self):
+        # equal rows 1 and 3 sit at distance 0; the Gram form alone put
+        # ~5e-9 there and moved these diversities by ~1e-10
+        counts = np.full((10, 10), 3)
+        counts[1] = counts[3] = [3, 3, 3, 1, 3, 3, 3, 3, 2, 3]
+        results = diversity_all(matrix_from_dense(counts), Direction.CITED, "relative_euclidean")
+        q = counts / counts.sum(axis=1, keepdims=True)
+        explicit = np.sqrt(((q[:, None, :] - q[None, :, :]) ** 2).sum(axis=-1))
+        for r in results:
+            assert r.d_value == pytest.approx(naive_rao(q[r.journal_id], explicit), abs=1e-15)
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(46)
         rows, cols, counts = random_sparse_counts(rng, 10, density=0.4)

@@ -112,16 +112,14 @@ class TestCooccurrence:
 
 class TestBinarize:
     def test_all_zero_matrix(self):
-        sym = SymmetricValueMatrix(
-            3, MatrixKind.COSINE_SIMILARITY, "natural", dense=np.zeros((3, 3))
-        )
+        sym = SymmetricValueMatrix(3, MatrixKind.COSINE_SIMILARITY, dense=np.zeros((3, 3)))
         graph = binarize(sym)
         assert graph.edge_count == 0
 
     def test_single_positive_cell(self):
         dense = np.zeros((4, 4))
         dense[1, 2] = dense[2, 1] = 0.7
-        sym = SymmetricValueMatrix(4, MatrixKind.COSINE_SIMILARITY, "natural", dense=dense)
+        sym = SymmetricValueMatrix(4, MatrixKind.COSINE_SIMILARITY, dense=dense)
         graph = binarize(sym)
         assert graph.edge_count == 1
         assert list(graph.neighbors(1)) == [2]
@@ -147,7 +145,7 @@ class TestBinarize:
 
     def test_threshold_strictness(self):
         dense = np.array([[1.0, 0.2], [0.2, 1.0]])
-        sym = SymmetricValueMatrix(2, MatrixKind.COSINE_SIMILARITY, "natural", dense=dense)
+        sym = SymmetricValueMatrix(2, MatrixKind.COSINE_SIMILARITY, dense=dense)
         assert binarize(sym, threshold=0.2).edge_count == 0  # strict >
         assert binarize(sym, threshold=0.19).edge_count == 1
 
@@ -206,6 +204,17 @@ class TestDistanceMatrix:
         for metric in ("one_minus_cosine", "relative_euclidean"):
             d = distance_matrix(m, Direction.CITED, metric).to_dense()
             assert d[0, 1] == pytest.approx(0.0, abs=1e-7)
+
+    def test_near_identical_distributions_keep_their_digits(self):
+        # rows 1 and 3 are equal and close to the uniform rows; the Gram form
+        # |a|^2 + |b|^2 - 2 a.b alone left d(1, 3) at ~5e-9
+        counts = np.full((10, 10), 3)
+        counts[1] = counts[3] = [3, 3, 3, 1, 3, 3, 3, 3, 2, 3]
+        d = distance_matrix(matrix_from_dense(counts), Direction.CITED, "relative_euclidean")
+        q = counts / counts.sum(axis=1, keepdims=True)
+        explicit = np.sqrt(((q[:, None, :] - q[None, :, :]) ** 2).sum(axis=-1))
+        assert d.to_dense()[1, 3] == 0.0
+        np.testing.assert_allclose(d.to_dense(), explicit, rtol=1e-12, atol=1e-15)
 
     def test_disjoint_supports(self):
         m = matrix_from_dense([[5, 0], [0, 3]])
