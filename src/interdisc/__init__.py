@@ -3,8 +3,7 @@
 Core objects: a journal registry plus a sparse citation matrix (corpus),
 per-vector inequality/entropy indicators, cosine/co-occurrence network
 structures with betweenness centrality, quadratic-entropy diversity, and an
-evaluation layer (rank correlations, descriptive statistics, rotated factor
-analysis).
+evaluation layer (rank correlations and rotated factor analysis).
 """
 
 from .centrality import betweenness, normalize_betweenness
@@ -12,18 +11,15 @@ from .corpus import (
     CitationMatrix,
     Direction,
     JournalRegistry,
-    JournalVector,
     SubsetMode,
     load_edge_list,
     load_matrix_market,
     load_metadata,
     subset,
-    vector,
 )
 from .diversity import DiversityResult, diversity_all, rao_stirling
 from .netspace import (
     BinaryGraph,
-    SymmetricValueMatrix,
     binarize,
     binarize_directed,
     cooccurrence,
@@ -34,7 +30,6 @@ from .netspace import (
 from .pipeline import RunConfig, compute_indicator_table, load_corpus, ranking
 from .stats import (
     IndicatorTable,
-    descriptive,
     pca,
     rank_column,
     spearman,

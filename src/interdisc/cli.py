@@ -320,12 +320,12 @@ def cmd_export_matrix(args) -> int:
     config = resolve_config(args)
     corpus = load_corpus(config)
     if args.kind == "cosine":
-        sym = cosine_matrix(corpus.matrix, args.axis)
+        values = cosine_matrix(corpus.matrix, args.axis)
     elif args.kind == "cooccurrence":
-        sym = cooccurrence(corpus.matrix, args.axis)
+        values = cooccurrence(corpus.matrix, args.axis)
     else:
-        sym = distance_matrix(corpus.matrix, args.axis, args.kind)
-    export_matrix_market(sym, args.out)
+        values = distance_matrix(corpus.matrix, args.axis, args.kind)
+    export_matrix_market(values, args.out)
     print(f"wrote {args.kind} matrix ({args.axis}) to {args.out}")
     return 0
 

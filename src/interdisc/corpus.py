@@ -141,68 +141,17 @@ class CitationMatrix:
     def nnz(self) -> int:
         return self._csr.nnz
 
-    @property
-    def total(self) -> int:
-        return int(self._csr.data.sum())
-
-    def cell(self, cited: int, citing: int) -> int:
-        return int(self._csr[cited, citing])
-
     def tocsr(self) -> sp.csr_matrix:
         return self._csr
 
     def tocsc(self) -> sp.csc_matrix:
         return self._csc
 
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self._csr.sum(axis=1)).ravel()
-
-    def col_sums(self) -> np.ndarray:
-        return np.asarray(self._csr.sum(axis=0)).ravel()
-
     def axis_matrix(self, direction: Direction | str) -> sp.csr_matrix:
         """Journal vectors of `direction` as rows of a CSR matrix."""
         if Direction(direction) is Direction.CITED:
             return self._csr
         return self._csc.T.tocsr()
-
-
-@dataclass
-class JournalVector:
-    """One journal's citation distribution in one direction (sparse)."""
-
-    owner_id: int
-    direction: Direction
-    ids: np.ndarray
-    counts: np.ndarray
-
-    @property
-    def support_size(self) -> int:
-        return len(self.ids)
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def vector(matrix: CitationMatrix, jid: int, direction: Direction | str) -> JournalVector:
-    """Extract journal `jid`'s cited (row) or citing (column) vector."""
-    if not 0 <= jid < matrix.n:
-        raise UnknownJournalError(f"journal id {jid} out of range 0..{matrix.n - 1}")
-    direction = Direction(direction)
-    if direction is Direction.CITED:
-        m = matrix.tocsr()
-        lo, hi = m.indptr[jid], m.indptr[jid + 1]
-        ids, counts = m.indices[lo:hi], m.data[lo:hi]
-    else:
-        m = matrix.tocsc()
-        lo, hi = m.indptr[jid], m.indptr[jid + 1]
-        ids, counts = m.indices[lo:hi], m.data[lo:hi]
-    return JournalVector(
-        owner_id=jid,
-        direction=direction,
-        ids=ids.astype(np.int64),
-        counts=counts.astype(np.int64),
-    )
 
 
 # ---------------------------------------------------------------------------

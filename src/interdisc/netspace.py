@@ -7,16 +7,16 @@ the chosen axis is empty have cosine 0 against everything (including
 themselves) and *undefined* distances, which downstream consumers must
 exclude rather than treat as maximal.
 
-Cosine and distance matrices are built densely at every n, as one n x n
-float64 array.  The indicator pipeline builds one only for a nonzero cosine
-threshold: betweenness otherwise binarizes the co-occurrence support, and
-diversity works from sparse Gram matrices.
+Cosine and distance matrices are plain n x n float64 arrays; co-occurrence
+counts are an int64 CSR matrix and are never densified.  The indicator
+pipeline builds a cosine matrix only for a nonzero cosine threshold:
+betweenness otherwise binarizes the co-occurrence support, and diversity
+works from sparse Gram matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +25,6 @@ import scipy.sparse as sp
 
 from .corpus import CitationMatrix, Direction
 from .errors import CountOverflowError, DataError, EmptyCorpusError, UndefinedIndicatorError
-
-
-class MatrixKind(str, Enum):
-    COSINE_SIMILARITY = "cosine_similarity"
-    ONE_MINUS_COSINE = "one_minus_cosine"
-    EUCLIDEAN_DISTANCE = "euclidean_distance"
-    COOCCURRENCE = "cooccurrence"
 
 
 # A squared distance formed as |a|^2 + |b|^2 - 2 a.b keeps few correct digits
@@ -72,42 +65,6 @@ def _l1_normalize_rows(m: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
     return sp.diags(inv).dot(m).tocsr(), sums
 
 
-class SymmetricValueMatrix:
-    """Symmetric n x n value store, held as a dense array or a sparse matrix.
-
-    Distance kinds hold NaN in cells where either journal's vector is empty.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        kind: MatrixKind,
-        dense: np.ndarray | None = None,
-        sparse: sp.spmatrix | None = None,
-    ):
-        self.n = n
-        self.kind = kind
-        self._dense = dense
-        self._sparse = sparse.tocsr() if sparse is not None else None
-
-    def block(self, ids: np.ndarray) -> np.ndarray:
-        """Dense sub-matrix for the given ids (in the given order)."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if self._dense is not None:
-            return self._dense[np.ix_(ids, ids)].copy()
-        return self._sparse[ids, :][:, ids].toarray()
-
-    def to_dense(self) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense
-        return self._sparse.toarray()
-
-    def to_sparse(self) -> sp.csr_matrix:
-        if self._sparse is not None:
-            return self._sparse
-        return sp.csr_matrix(self._dense)
-
-
 @dataclass
 class BinaryGraph:
     """Unweighted adjacency produced by binarization; no self-loops.
@@ -126,41 +83,29 @@ class BinaryGraph:
     def edge_count(self) -> int:
         return int(self.adjacency.nnz if self.directed else self.adjacency.nnz // 2)
 
-    def neighbors(self, v: int) -> np.ndarray:
-        lo, hi = self.adjacency.indptr[v], self.adjacency.indptr[v + 1]
-        return self.adjacency.indices[lo:hi]
-
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.adjacency.indptr)
-
 
 def _require_nonempty(matrix: CitationMatrix) -> None:
     if matrix.nnz == 0:
         raise EmptyCorpusError("citation matrix has no cells")
 
 
-def cosine_matrix(
-    matrix: CitationMatrix, axis: Direction | str
-) -> SymmetricValueMatrix:
-    """Pairwise cosine similarity between all vectors of one axis.
+def cosine_matrix(matrix: CitationMatrix, axis: Direction | str) -> np.ndarray:
+    """Pairwise cosine similarity between all vectors of one axis, n x n.
 
     The diagonal is natural: 1 for journals with a nonzero vector, 0 for
     empty ones (which are orthogonal to everything, themselves included).
     """
     _require_nonempty(matrix)
-    vectors = matrix.axis_matrix(axis)
-    unit, norms = _l2_normalize_rows(vectors)
-    defined = norms > 0
+    unit, norms = _l2_normalize_rows(matrix.axis_matrix(axis))
     gram = np.asarray(unit.dot(unit.T).todense())
     np.clip(gram, 0.0, 1.0, out=gram)
-    np.fill_diagonal(gram, np.where(defined, 1.0, 0.0))
-    return SymmetricValueMatrix(matrix.n, MatrixKind.COSINE_SIMILARITY, dense=gram)
+    np.fill_diagonal(gram, np.where(norms > 0, 1.0, 0.0))
+    return gram
 
 
-def cooccurrence(
-    matrix: CitationMatrix, axis: Direction | str
-) -> SymmetricValueMatrix:
-    """Exact integer co-occurrence products: A*A^T (cited) or A^T*A (citing)."""
+def cooccurrence(matrix: CitationMatrix, axis: Direction | str) -> sp.csr_matrix:
+    """Exact integer co-occurrence products, A*A^T (cited) or A^T*A (citing),
+    as an int64 CSR matrix with sorted indices and no stored zeros."""
     _require_nonempty(matrix)
     a = matrix.axis_matrix(axis)
     max_count = int(a.data.max())
@@ -173,7 +118,8 @@ def cooccurrence(
         )
     product = a.dot(a.T).tocsr()
     product.eliminate_zeros()
-    return SymmetricValueMatrix(matrix.n, MatrixKind.COOCCURRENCE, sparse=product)
+    product.sort_indices()
+    return product
 
 
 def cooccurrence_support(
@@ -191,25 +137,18 @@ def cooccurrence_support(
     return support.astype(bool)
 
 
-def binarize(
-    sym: SymmetricValueMatrix | sp.spmatrix, threshold: float = 0.0
-) -> BinaryGraph:
+def binarize(values: np.ndarray | sp.spmatrix, threshold: float = 0.0) -> BinaryGraph:
     """Undirected graph with an edge wherever a cell is strictly above threshold.
 
-    The diagonal is ignored.  A nonzero threshold breaks the equivalence
-    between cosine- and co-occurrence-based graphs and is off by default.
+    `values` is a square array or sparse matrix.  The diagonal is ignored.
+    A nonzero threshold breaks the equivalence between cosine- and
+    co-occurrence-based graphs and is off by default.
     """
-    if isinstance(sym, SymmetricValueMatrix):
-        values = sym.to_sparse()
-        n = sym.n
-    else:
-        values = sym.tocsr()
-        n = values.shape[0]
-    adj = (values > threshold).tocsr()
+    adj = sp.csr_matrix(values > threshold)
     adj.setdiag(False)
     adj.eliminate_zeros()
     adj = adj.maximum(adj.T).tocsr()  # guard symmetry for near-threshold floats
-    return BinaryGraph(n=n, directed=False, adjacency=adj.astype(bool))
+    return BinaryGraph(n=adj.shape[0], directed=False, adjacency=adj.astype(bool))
 
 
 def binarize_directed(matrix: CitationMatrix) -> BinaryGraph:
@@ -225,8 +164,8 @@ def distance_matrix(
     matrix: CitationMatrix,
     axis: Direction | str,
     metric: str = "one_minus_cosine",
-) -> SymmetricValueMatrix:
-    """Pairwise distances between the axis vectors; diagonal always zero.
+) -> np.ndarray:
+    """Pairwise distances between the axis vectors, n x n; diagonal always zero.
 
     ``one_minus_cosine`` is 1 minus the cosine similarity (in [0, 1]);
     ``relative_euclidean`` is the L2 distance between the probability-
@@ -236,48 +175,40 @@ def distance_matrix(
     _require_nonempty(matrix)
     vectors = matrix.axis_matrix(axis)
     if metric == "one_minus_cosine":
-        unit, norms = _l2_normalize_rows(vectors)
-        kind = MatrixKind.ONE_MINUS_COSINE
-        sq_norms = None
+        dense = 1.0 - cosine_matrix(matrix, axis)
     elif metric == "relative_euclidean":
-        prob, norms = _l1_normalize_rows(vectors)
-        unit = prob
+        prob, _ = _l1_normalize_rows(vectors)
         sq_norms = np.asarray(prob.multiply(prob).sum(axis=1)).ravel()
-        kind = MatrixKind.EUCLIDEAN_DISTANCE
-    else:
-        raise UndefinedIndicatorError(f"unknown distance metric: {metric!r}")
-    defined = norms > 0
-
-    gram = np.asarray(unit.dot(unit.T).todense())
-    np.clip(gram, 0.0, 1.0 if kind is MatrixKind.ONE_MINUS_COSINE else np.inf, out=gram)
-    if kind is MatrixKind.ONE_MINUS_COSINE:
-        dense = 1.0 - gram
-    else:
+        gram = np.asarray(prob.dot(prob.T).todense())
+        np.clip(gram, 0.0, None, out=gram)
         d2 = sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram
         rows, cols = np.nonzero(d2 <= 2 * CANCELLATION_RATIO * sq_norms.max())
         d2[rows, cols] = _undo_cancellation(prob, sq_norms, rows, cols, d2[rows, cols])
         np.clip(d2, 0.0, None, out=d2)
         dense = np.sqrt(d2)
-    undef = ~defined
+    else:
+        raise UndefinedIndicatorError(f"unknown distance metric: {metric!r}")
+    undef = np.diff(vectors.indptr) == 0
     dense[undef, :] = np.nan
     dense[:, undef] = np.nan
     np.fill_diagonal(dense, 0.0)
-    return SymmetricValueMatrix(matrix.n, kind, dense=dense)
+    return dense
 
 
-def export_matrix_market(sym: SymmetricValueMatrix, path: str | Path) -> None:
-    """Write a symmetric value matrix in Matrix Market format.
+def export_matrix_market(values: np.ndarray | sp.spmatrix, path: str | Path) -> None:
+    """Write a symmetric pairwise matrix in Matrix Market format.
 
-    The matrix is written from its dense form; NaN (undefined) cells are
-    written as-is so the gaps stay visible to external tools.  A path that
-    cannot be opened for writing is a data error.
+    A dense array or a sparse matrix is written as it is, without
+    densifying; an integer dtype gets the ``integer`` field, any other the
+    ``real`` field.  NaN (undefined) cells are written as-is so the gaps
+    stay visible to external tools.  A path that cannot be opened for
+    writing is a data error.
     """
-    dense = sym.to_dense()
-    field = "integer" if sym.kind is MatrixKind.COOCCURRENCE else "real"
+    field = "integer" if np.issubdtype(values.dtype, np.integer) else "real"
     try:
         # mmwrite given a path name ignores a failed open and writes nothing
         fh = open(path, "wb")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror}") from None
     with fh:
-        scipy.io.mmwrite(fh, sp.coo_matrix(dense), field=field, symmetry="symmetric")
+        scipy.io.mmwrite(fh, sp.coo_matrix(values), field=field, symmetry="symmetric")

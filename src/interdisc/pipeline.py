@@ -370,12 +370,17 @@ def write_combined_json(
     )
 
 
+def _direction_of(column: str) -> str | None:
+    """The direction a column name ends with, if it names one."""
+    return next((d.value for d in Direction if column.endswith(f"_{d.value}")), None)
+
+
 def _indicator_of(column: str) -> Indicator:
     """The catalogue indicator of a column name, with or without its direction;
     columns outside the catalogue (support, metadata) rank descending."""
-    for direction in Direction:
-        column = column.removesuffix(f"_{direction.value}")
-    return next((i for i in INDICATORS if i.name == column), Indicator(column, "other"))
+    direction = _direction_of(column)
+    name = column.removesuffix(f"_{direction}") if direction else column
+    return next((i for i in INDICATORS if i.name == name), Indicator(name, "other"))
 
 
 @dataclass
@@ -399,7 +404,8 @@ def ranking(
     """Top journals under one indicator's ranking convention.
 
     Inequality-style indicators rank ascending, everything else descending;
-    degenerate journals are left out unless asked for, and journals with no
+    journals degenerate in the column's direction (`direction` for a column
+    that names none) are left out unless asked for, and journals with no
     value never rank.  `append_journal` adds one named journal's row below
     the list regardless of its rank.  `sqrt_values` displays square roots
     (rank order is unchanged); it only applies to diversity indicators.
@@ -411,7 +417,7 @@ def ranking(
         raise UsageError("--sqrt applies only to diversity indicators")
     values = table.column(column_name).copy()
     eligible = ~np.isnan(values)
-    flag = table.flags.get(f"degenerate_{direction}")
+    flag = table.flags.get(f"degenerate_{_direction_of(column_name) or direction}")
     if exclude_degenerate and flag is not None:
         eligible &= ~flag
     if not eligible.any():

@@ -1,10 +1,10 @@
 """Evaluation pipeline over indicator tables.
 
 Spearman rank correlation with average-rank ties and a t-approximation for
-the two-tailed p-value, descriptive statistics, principal components of the
-indicator correlation matrix, and varimax rotation with Kaiser normalization.
-Missing cells are tracked as NaN; correlations use pairwise-complete
-observations, the factor model uses listwise-complete rows.
+the two-tailed p-value, principal components of the indicator correlation
+matrix, and varimax rotation with Kaiser normalization.  Missing cells are
+tracked as NaN; correlations use pairwise-complete observations, the factor
+model uses listwise-complete rows.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import t as t_dist
+from scipy.special import stdtr
 
 from .errors import NumericalError, RankError, UndefinedCorrelationError
 
@@ -50,9 +50,6 @@ class IndicatorTable:
         if name not in self.columns:
             raise KeyError(name)
         return self.columns[name]
-
-    def column_names(self) -> list[str]:
-        return list(self.columns)
 
     def select_rows(self, mask: np.ndarray) -> "IndicatorTable":
         mask = np.asarray(mask, dtype=bool)
@@ -128,7 +125,7 @@ def spearman(x, y) -> SpearmanResult:
         p = 0.0
     else:
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p = float(2.0 * t_dist.sf(abs(t), n - 2))
+        p = float(2.0 * stdtr(n - 2, -abs(t)))
     return SpearmanResult(rho=rho, p_value=p, n=n)
 
 
@@ -166,37 +163,6 @@ def spearman_matrix(table: IndicatorTable, columns: list[str]) -> CorrelationMat
             p_values[i, j] = p_values[j, i] = res.p_value
             n[i, j] = n[j, i] = res.n
     return CorrelationMatrix(columns=list(columns), rho=rho, p_values=p_values, n=n)
-
-
-@dataclass
-class DescriptiveStats:
-    mean: float
-    std_dev: float
-    variance: float
-    range_max_minus_min: float
-    range_from_zero: float  # the maximum, i.e. the range measured from zero
-    n: int
-
-
-def descriptive(values) -> DescriptiveStats:
-    """Mean, sample standard deviation/variance, and both range conventions."""
-    x = np.asarray(values, dtype=np.float64)
-    x = x[~np.isnan(x)]
-    if x.size == 0:
-        raise NumericalError("descriptive statistics of an empty column")
-    mean = float(x.mean())
-    if x.size > 1:
-        variance = float(((x - mean) ** 2).sum() / (x.size - 1))
-    else:
-        variance = 0.0
-    return DescriptiveStats(
-        mean=mean,
-        std_dev=math.sqrt(variance),
-        variance=variance,
-        range_max_minus_min=float(x.max() - x.min()),
-        range_from_zero=float(x.max()),
-        n=int(x.size),
-    )
 
 
 def _pearson_correlation_matrix(data: np.ndarray) -> np.ndarray:

@@ -141,12 +141,3 @@ def varimax_grid_criterion(loadings, resolution: float = 1e-4):
     best = int(np.argmax(crit))
     return float(crit[best]), float(angles[best])
 
-
-def descriptive_two_pass(values):
-    """Mean and sample variance by a separate two-pass formula."""
-    x = np.asarray(values, dtype=np.float64)
-    mean = x.sum() / x.size
-    if x.size == 1:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in x) / (x.size - 1)
-    return mean, var

@@ -192,7 +192,8 @@ def test_criterion_05_rao_stirling():
                 continue
             x = axis.data[lo:hi].astype(float) * c
             p = x / x.sum()
-            values[jid] = rao_stirling(p, dist.block(axis.indices[lo:hi]))
+            ids = axis.indices[lo:hi]
+            values[jid] = rao_stirling(p, dist[np.ix_(ids, ids)])
         per_scale[c] = values
     reference = per_scale[1.0]
     ref_rank = sorted(reference, key=lambda j: reference[j])
@@ -382,7 +383,7 @@ def test_criterion_10_scale(tmp_path):
     config = RunConfig(jobs=jobs)
     table = compute_indicator_table(matrix, registry, config)
     pipeline_elapsed = time.time() - start
-    per_direction = [c for c in table.column_names() if c.endswith("_cited")]
+    per_direction = [c for c in table.columns if c.endswith("_cited")]
     assert len([c for c in per_direction if c != "support_cited"]) == 12
 
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6

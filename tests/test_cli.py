@@ -19,6 +19,21 @@ def run(argv) -> int:
     return main([str(a) for a in argv])
 
 
+def src_env() -> dict:
+    """This environment with the package source first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
+
+
+def data_lines(path: Path) -> list[list[str]]:
+    """The fields of a report's lines after the comments and the header."""
+    lines = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
+    return [l.split(",") for l in lines[1:]]
+
+
 @pytest.fixture
 def synth_outdir(tmp_path) -> Path:
     out = tmp_path / "synth"
@@ -203,24 +218,29 @@ class TestRankCommand:
         for label, path in (("orig", synth_outdir / "edges.csv"), ("perm", shuffled)):
             out = tmp_path / label
             assert run(["rank", "entropy", "--edges", path, "--outdir", out]) == 0
-            data = [
-                l.split(",")
-                for l in (out / "ranking_entropy.csv").read_text().splitlines()
-                if l and not l.startswith("#")
-            ][1:]
-            names[label] = [r[2] for r in data]
+            names[label] = [r[2] for r in data_lines(out / "ranking_entropy.csv")]
         assert names["orig"] == names["perm"]
 
     def test_gini_ranked_ascending(self, synth_outdir, tmp_path):
         out = tmp_path / "rank"
         run(["rank", "gini", "--edges", synth_outdir / "edges.csv", "--outdir", out])
-        data = [
-            l.split(",")
-            for l in (out / "ranking_gini.csv").read_text().splitlines()
-            if l and not l.startswith("#")
-        ][1:]
-        values = [float(r[3]) for r in data]
+        values = [float(r[3]) for r in data_lines(out / "ranking_gini.csv")]
         assert values == sorted(values)
+
+    def test_column_naming_a_direction_drops_that_directions_degenerates(self, tmp_path):
+        # B and C cite only A, so they are degenerate on the citing side;
+        # nobody cites D, so D is degenerate (empty) only on the cited side
+        edges = tmp_path / "e.csv"
+        edges.write_text(
+            "citing,cited,count\nA,B,1\nA,C,1\nB,A,1\nC,A,1\nD,A,1\nD,B,1\n",
+            encoding="utf-8",
+        )
+        listed = []
+        for k, argv in enumerate([["entropy_citing"], ["entropy", "--direction", "citing"]]):
+            out = tmp_path / f"rank{k}"
+            assert run(["rank", *argv, "--edges", edges, "--outdir", out]) == 0
+            listed.append([r[2] for r in data_lines(out / f"ranking_{argv[0]}.csv")])
+        assert listed == [["A", "D"], ["A", "D"]]
 
 
 class TestCorrelateAndFactor:
@@ -437,6 +457,39 @@ class TestExportMatrix:
         dense = scipy.io.mmread(str(target)).toarray()
         scipy.io.mmwrite(str(by_path), sp.coo_matrix(dense), field="real", symmetry="symmetric")
         assert target.read_bytes() == by_path.read_bytes()
+
+    @pytest.mark.parametrize("axis", ["cited", "citing"])
+    def test_every_kind(self, edges_path, tmp_path, axis):
+        import scipy.io
+        import scipy.sparse as sp
+
+        _, matrix = load_edge_list(edges_path)
+        a = matrix.axis_matrix(axis).toarray()  # C is never cited: an empty cited vector
+        empty = ~a.any(axis=1)
+        assert empty.any() == (axis == "cited")
+        read = {}
+        for kind in ("cosine", "cooccurrence", "one_minus_cosine", "relative_euclidean"):
+            target = tmp_path / f"{kind}.mtx"
+            argv = ["export-matrix", "--edges", edges_path, "--kind", kind, "--axis", axis]
+            assert run([*argv, "--out", target]) == 0
+            read[kind] = scipy.io.mmread(str(target)).toarray()
+
+        # co-occurrence counts come back exact, written as integers, and in
+        # the bytes of the same product written from a dense array
+        target = tmp_path / "cooccurrence.mtx"
+        assert target.read_text().startswith("%%MatrixMarket matrix coordinate integer symmetric")
+        assert np.array_equal(read["cooccurrence"], a @ a.T)
+        by_dense = tmp_path / "by_dense.mtx"
+        scipy.io.mmwrite(
+            str(by_dense), sp.coo_matrix(a @ a.T), field="integer", symmetry="symmetric"
+        )
+        assert target.read_bytes() == by_dense.read_bytes()
+
+        assert np.array_equal(np.diag(read["cosine"]), np.where(empty, 0.0, 1.0))
+        undefined = (empty[:, None] | empty[None, :]) & ~np.eye(len(a), dtype=bool)
+        for kind in ("one_minus_cosine", "relative_euclidean"):
+            assert np.array_equal(np.isnan(read[kind]), undefined), kind
+            assert np.all(np.diag(read[kind]) == 0.0), kind
 
 
 class TestComputesOnlyWhatItReports:
@@ -703,14 +756,22 @@ class TestTracedRun:
     @pytest.mark.parametrize("command", [["indicators"], ["rank", "entropy"]])
     def test_traced_command_runs(self, edges4_path, tmp_path, command):
         spans = tmp_path / "spans.json"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
         proc = subprocess.run(
             [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans), *command,
              "--edges", str(edges4_path), "--outdir", str(tmp_path / "o")],
-            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            env=src_env(), cwd=tmp_path, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(spans.read_text(encoding="utf-8"))["spans"]
+
+
+def test_cli_import_leaves_scipy_stats_out(tmp_path):
+    # scipy.stats takes most of a second to import and the p-values need
+    # only the Student t tail from scipy.special
+    code = "import sys, interdisc.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=src_env(), cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

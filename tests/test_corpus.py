@@ -9,7 +9,6 @@ from interdisc.corpus import (
     load_matrix_market,
     load_metadata,
     subset,
-    vector,
 )
 from interdisc.errors import (
     DimensionError,
@@ -32,7 +31,7 @@ class TestLoadEdgeList:
         path = write(tmp_path, "e.csv", "citing,cited,count\nB,A,3\nB,A,2\n")
         registry, matrix = load_edge_list(path)
         a, b = registry.id_of("A"), registry.id_of("B")
-        assert matrix.cell(cited=a, citing=b) == 5
+        assert matrix.tocsr()[a, b] == 5
         assert matrix.nnz == 1
 
     def test_min_count_drops_after_summing(self, tmp_path):
@@ -40,7 +39,7 @@ class TestLoadEdgeList:
         registry, matrix = load_edge_list(path, min_count=2)
         a, c = registry.id_of("A"), registry.id_of("C")
         assert matrix.nnz == 1
-        assert matrix.cell(cited=a, citing=c) == 4
+        assert matrix.tocsr()[a, c] == 4
 
     def test_hand_tally(self, corpus3):
         registry, matrix = corpus3
@@ -48,13 +47,15 @@ class TestLoadEdgeList:
         assert matrix.nnz == 4
         b, a, c = 0, 1, 2  # first-appearance order
         assert registry.name_of(b) == "B" and registry.name_of(a) == "A"
-        assert list(matrix.row_sums()) == [5, 5, 0]
-        assert list(matrix.col_sums()) == [3, 1, 6]
-        assert matrix.total == 10
+        dense = matrix.tocsr().toarray()
+        assert list(dense.sum(axis=1)) == [5, 5, 0]
+        assert list(dense.sum(axis=0)) == [3, 1, 6]
+        assert dense.sum() == 10
 
     def test_conservation(self, corpus4):
         _, matrix = corpus4
-        assert matrix.row_sums().sum() == matrix.col_sums().sum() == matrix.total
+        cited, citing = (matrix.axis_matrix(d).sum(axis=1) for d in Direction)
+        assert cited.sum() == citing.sum() == matrix.tocsr().data.sum()
 
     def test_order_independence(self, tmp_path):
         rows = ["B,A,3", "C,A,2", "A,B,1", "C,B,4"]
@@ -67,8 +68,9 @@ class TestLoadEdgeList:
         # Ids differ with input order, but the matrix is identical by name.
         for cited in "ABC":
             for citing in "ABC":
-                assert m1.cell(r1.id_of(cited), r1.id_of(citing)) == m2.cell(
-                    r2.id_of(cited), r2.id_of(citing)
+                assert (
+                    m1.tocsr()[r1.id_of(cited), r1.id_of(citing)]
+                    == m2.tocsr()[r2.id_of(cited), r2.id_of(citing)]
                 )
 
     def test_canonicalization_merges_case_and_space(self, tmp_path):
@@ -107,7 +109,7 @@ class TestLoadEdgeList:
         path.write_bytes(b"\xef\xbb\xbfciting,cited,count\nA,B,3\n")
         registry, matrix = load_edge_list(path)
         assert registry.name_of(0) == "A"
-        assert matrix.cell(cited=registry.id_of("B"), citing=registry.id_of("A")) == 3
+        assert matrix.tocsr()[registry.id_of("B"), registry.id_of("A")] == 3
 
     def test_count_beyond_int64_is_parse_error(self, tmp_path):
         one_row = write(tmp_path, "a.csv", "citing,cited,count\nA,B,99999999999999999999\n")
@@ -129,7 +131,7 @@ class TestMatrixMarket:
         registry, matrix = load_matrix_market(mm)
         assert matrix.n == 2 and matrix.nnz == 2
         assert registry.name_of(0) == "J0"
-        assert matrix.cell(0, 0) == 5 and matrix.cell(0, 1) == 3
+        assert matrix.tocsr()[0, 0] == 5 and matrix.tocsr()[0, 1] == 3
 
     def test_symmetric_fixture_transpose(self, tmp_path):
         mm = write(
@@ -188,7 +190,7 @@ class TestMatrixMarket:
             "%%MatrixMarket matrix coordinate integer general\n2 2 3\n1 2 3\n1 2 4\n2 1 1\n",
         )
         _, matrix = load_matrix_market(mm)
-        assert matrix.nnz == 2 and matrix.cell(0, 1) == 7
+        assert matrix.nnz == 2 and matrix.tocsr()[0, 1] == 7
 
     def test_sidecar_names(self, tmp_path):
         mm = write(
@@ -199,7 +201,7 @@ class TestMatrixMarket:
         names = write(tmp_path, "names.txt", "Alpha\nBeta\n")
         registry, matrix = load_matrix_market(mm, names)
         assert registry.name_of(0) == "Alpha"
-        assert matrix.cell(registry.id_of("Alpha"), registry.id_of("Beta")) == 3
+        assert matrix.tocsr()[registry.id_of("Alpha"), registry.id_of("Beta")] == 3
 
 
 class TestMetadata:
@@ -241,30 +243,32 @@ class TestMetadata:
 
 
 class TestVector:
+    """A journal's vector in a direction is its row of `axis_matrix`."""
+
     def test_diagonal_only_support(self):
         matrix = CitationMatrix.from_cells(2, {(0, 0): 7})
-        vec = vector(matrix, 0, Direction.CITED)
-        assert vec.support_size == 1
-        assert vec.counts.sum() == 7
+        vec = matrix.axis_matrix(Direction.CITED)[0]
+        assert vec.nnz == 1
+        assert vec.sum() == 7
 
     def test_direction_convention(self):
         # cell (cited=A0, citing=B1) = 2: A's citing vector is empty.
         matrix = CitationMatrix.from_cells(2, {(0, 1): 2})
-        assert vector(matrix, 0, Direction.CITING).support_size == 0
-        assert vector(matrix, 0, Direction.CITED).support_size == 1
-        assert vector(matrix, 1, Direction.CITING).support_size == 1
+        assert matrix.axis_matrix(Direction.CITING)[0].nnz == 0
+        assert matrix.axis_matrix(Direction.CITED)[0].nnz == 1
+        assert matrix.axis_matrix(Direction.CITING)[1].nnz == 1
 
     def test_hand_read_slices(self, corpus4):
         registry, matrix = corpus4
         w, x = registry.id_of("W"), registry.id_of("X")
-        cited = vector(matrix, x, Direction.CITED)
-        assert dict(zip(cited.ids, cited.counts)) == {
+        cited = matrix.axis_matrix(Direction.CITED)[x]
+        assert dict(zip(cited.indices, cited.data)) == {
             registry.id_of("W"): 2,
             registry.id_of("Y"): 5,
         }
         # column W holds cells (cited=X, citing=W)=2 and the diagonal (W,W)=7
-        citing = vector(matrix, w, Direction.CITING)
-        assert dict(zip(citing.ids, citing.counts)) == {
+        citing = matrix.axis_matrix(Direction.CITING)[w]
+        assert dict(zip(citing.indices, citing.data)) == {
             registry.id_of("X"): 2,
             registry.id_of("W"): 7,
         }
@@ -275,15 +279,15 @@ class TestVector:
             matrix.n, *_coo_arrays(matrix.tocsr().T.tocoo())
         )
         for jid in range(matrix.n):
-            a = vector(matrix, jid, Direction.CITED)
-            b = vector(transposed, jid, Direction.CITING)
-            assert np.array_equal(np.sort(a.ids), np.sort(b.ids))
-            assert dict(zip(a.ids, a.counts)) == dict(zip(b.ids, b.counts))
+            a = matrix.axis_matrix(Direction.CITED)[jid]
+            b = transposed.axis_matrix(Direction.CITING)[jid]
+            assert np.array_equal(np.sort(a.indices), np.sort(b.indices))
+            assert dict(zip(a.indices, a.data)) == dict(zip(b.indices, b.data))
 
     def test_out_of_range(self, corpus3):
-        _, matrix = corpus3
+        registry, matrix = corpus3
         with pytest.raises(UnknownJournalError):
-            vector(matrix, 99, Direction.CITED)
+            subset(matrix, registry, [99], SubsetMode.GLOBAL_CONTEXT)
 
 
 def _coo_arrays(coo):
@@ -314,8 +318,8 @@ class TestSubset:
         registry, matrix = corpus4
         x = registry.id_of("X")
         scope = subset(matrix, registry, [x], SubsetMode.GLOBAL_CONTEXT)
-        full_value = gini_from_counts(vector(matrix, x, Direction.CITED).counts)
-        scoped_value = gini_from_counts(vector(scope.matrix, x, Direction.CITED).counts)
+        full_value = gini_from_counts(matrix.axis_matrix(Direction.CITED)[x].data)
+        scoped_value = gini_from_counts(scope.matrix.axis_matrix(Direction.CITED)[x].data)
         assert full_value == scoped_value
 
     def test_local_then_full_is_identity(self, corpus4):

@@ -118,7 +118,7 @@ class TestDiversityAll:
         for metric in ("one_minus_cosine", "relative_euclidean"):
             rows, cols, counts = random_sparse_counts(rng, 12, density=0.35)
             m = CitationMatrix(12, rows, cols, counts)
-            dist = distance_matrix(m, Direction.CITED, metric).to_dense()
+            dist = distance_matrix(m, Direction.CITED, metric)
             axis = m.axis_matrix(Direction.CITED)
             results = diversity_all(m, Direction.CITED, metric)
             for r in results:
@@ -142,7 +142,7 @@ class TestDiversityAll:
         for direction in (Direction.CITED, Direction.CITING):
             axis = m.axis_matrix(direction)
             for metric in ("one_minus_cosine", "relative_euclidean"):
-                dist = distance_matrix(m, direction, metric).to_dense()
+                dist = distance_matrix(m, direction, metric)
                 results = diversity_all(
                     m, direction, metric, exclude_self_citations=exclude_self
                 )

@@ -6,8 +6,6 @@ from conftest import random_sparse_counts
 from interdisc.corpus import CitationMatrix, Direction
 from interdisc.errors import CountOverflowError
 from interdisc.netspace import (
-    MatrixKind,
-    SymmetricValueMatrix,
     binarize,
     binarize_directed,
     cooccurrence,
@@ -28,23 +26,23 @@ def matrix_from_dense(dense) -> CitationMatrix:
 class TestCosine:
     def test_identical_rows(self):
         m = matrix_from_dense([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
-        cos = cosine_matrix(m, Direction.CITED).to_dense()
+        cos = cosine_matrix(m, Direction.CITED)
         assert cos[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert cos[0, 0] == 1.0
 
     def test_disjoint_supports(self):
         m = matrix_from_dense([[1, 0, 0], [0, 0, 5], [1, 1, 0]])
-        cos = cosine_matrix(m, Direction.CITED).to_dense()
+        cos = cosine_matrix(m, Direction.CITED)
         assert cos[0, 1] == 0.0
 
     def test_half_overlap(self):
         m = matrix_from_dense([[1, 1, 0], [1, 0, 1], [0, 0, 0]])
-        cos = cosine_matrix(m, Direction.CITED).to_dense()
+        cos = cosine_matrix(m, Direction.CITED)
         assert cos[0, 1] == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_vector_journal(self):
         m = matrix_from_dense([[1, 1, 0], [0, 0, 0], [1, 0, 1]])
-        cos = cosine_matrix(m, Direction.CITED).to_dense()
+        cos = cosine_matrix(m, Direction.CITED)
         assert cos[1, 1] == 0.0
         assert np.all(cos[1, :] == 0.0) and np.all(cos[:, 1] == 0.0)
 
@@ -53,7 +51,7 @@ class TestCosine:
         rows, cols, counts = random_sparse_counts(rng, 20)
         m = CitationMatrix(20, rows, cols, counts)
         for axis in (Direction.CITED, Direction.CITING):
-            cos = cosine_matrix(m, axis).to_dense()
+            cos = cosine_matrix(m, axis)
             assert np.all(cos >= 0.0) and np.all(cos <= 1.0)
             assert np.array_equal(cos, cos.T)
 
@@ -68,23 +66,23 @@ class TestCosine:
         for axis in (Direction.CITED, Direction.CITING):
             has_vector = np.diff(m.axis_matrix(axis).indptr) > 0
             assert not has_vector.all()
-            diag = np.diag(cosine_matrix(m, axis).to_dense())
+            diag = np.diag(cosine_matrix(m, axis))
             assert np.array_equal(diag, np.where(has_vector, 1.0, 0.0))
 
 
 class TestCooccurrence:
     def test_identity(self):
         m = matrix_from_dense(np.eye(3, dtype=int))
-        prod = cooccurrence(m, Direction.CITED).to_dense()
+        prod = cooccurrence(m, Direction.CITED).toarray()
         assert np.array_equal(prod, np.eye(3))
 
     def test_hand_multiplied_3x3(self):
         a = [[1, 2, 0], [0, 1, 1], [3, 0, 1]]
         expected = np.array([[5, 2, 3], [2, 2, 1], [3, 1, 10]])
         m = matrix_from_dense(a)
-        prod = cooccurrence(m, Direction.CITED).to_dense()
+        prod = cooccurrence(m, Direction.CITED).toarray()
         assert np.array_equal(prod, expected)
-        citing = cooccurrence(m, Direction.CITING).to_dense()
+        citing = cooccurrence(m, Direction.CITING).toarray()
         assert np.array_equal(citing, np.asarray(a).T @ np.asarray(a))
 
     def test_support_rule(self):
@@ -92,7 +90,7 @@ class TestCooccurrence:
         rows, cols, counts = random_sparse_counts(rng, 12, density=0.3)
         m = CitationMatrix(12, rows, cols, counts)
         dense = m.tocsr().toarray()
-        prod = cooccurrence(m, Direction.CITED).to_dense()
+        prod = cooccurrence(m, Direction.CITED).toarray()
         for i in range(12):
             for j in range(12):
                 shares = np.any((dense[i] > 0) & (dense[j] > 0))
@@ -100,8 +98,21 @@ class TestCooccurrence:
 
     def test_exact_integers(self):
         m = matrix_from_dense([[10**6, 10**6], [10**6, 0]])
-        prod = cooccurrence(m, Direction.CITED).to_dense()
+        prod = cooccurrence(m, Direction.CITED).toarray()
         assert prod[0, 0] == 2 * 10**12
+
+    def test_int64_csr_with_sorted_indices(self):
+        rng = np.random.default_rng(12)
+        rows, cols, counts = random_sparse_counts(rng, 30, density=0.2)
+        m = CitationMatrix(30, rows, cols, counts)
+        for axis in (Direction.CITED, Direction.CITING):
+            prod = cooccurrence(m, axis)
+            assert sp.isspmatrix_csr(prod) and prod.dtype == np.int64
+            resorted = prod.copy()
+            resorted.has_sorted_indices = False
+            resorted.sort_indices()
+            assert np.array_equal(resorted.indices, prod.indices)
+            assert np.all(prod.data != 0)
 
     def test_overflow_detection(self):
         big = int(np.sqrt(np.iinfo(np.int64).max)) + 1
@@ -112,17 +123,15 @@ class TestCooccurrence:
 
 class TestBinarize:
     def test_all_zero_matrix(self):
-        sym = SymmetricValueMatrix(3, MatrixKind.COSINE_SIMILARITY, dense=np.zeros((3, 3)))
-        graph = binarize(sym)
+        graph = binarize(np.zeros((3, 3)))
         assert graph.edge_count == 0
 
     def test_single_positive_cell(self):
         dense = np.zeros((4, 4))
         dense[1, 2] = dense[2, 1] = 0.7
-        sym = SymmetricValueMatrix(4, MatrixKind.COSINE_SIMILARITY, dense=dense)
-        graph = binarize(sym)
+        graph = binarize(dense)
         assert graph.edge_count == 1
-        assert list(graph.neighbors(1)) == [2]
+        assert list(graph.adjacency[1].indices) == [2]
 
     def test_edge_set_identity_cosine_vs_cooccurrence(self):
         rng = np.random.default_rng(10)
@@ -145,9 +154,10 @@ class TestBinarize:
 
     def test_threshold_strictness(self):
         dense = np.array([[1.0, 0.2], [0.2, 1.0]])
-        sym = SymmetricValueMatrix(2, MatrixKind.COSINE_SIMILARITY, dense=dense)
-        assert binarize(sym, threshold=0.2).edge_count == 0  # strict >
-        assert binarize(sym, threshold=0.19).edge_count == 1
+        assert binarize(dense, threshold=0.2).edge_count == 0  # strict >
+        assert binarize(dense, threshold=0.19).edge_count == 1
+        # a sparse matrix binarizes the same way
+        assert binarize(sp.csr_matrix(dense), threshold=0.19).edge_count == 1
 
     def test_no_self_loops(self):
         m = matrix_from_dense([[4, 1], [1, 4]])
@@ -162,8 +172,8 @@ class TestBinarizeDirected:
         graph = binarize_directed(m)
         assert graph.directed
         assert graph.edge_count == 1
-        assert list(graph.neighbors(1)) == [0]
-        assert list(graph.neighbors(0)) == []
+        assert list(graph.adjacency[1].indices) == [0]
+        assert list(graph.adjacency[0].indices) == []
 
     def test_diagonal_only_is_edgeless(self):
         m = CitationMatrix.from_cells(3, {(0, 0): 2, (1, 1): 9})
@@ -202,7 +212,7 @@ class TestDistanceMatrix:
     def test_same_distribution_different_size(self):
         m = matrix_from_dense([[1, 2, 0], [10, 20, 0], [0, 0, 3]])
         for metric in ("one_minus_cosine", "relative_euclidean"):
-            d = distance_matrix(m, Direction.CITED, metric).to_dense()
+            d = distance_matrix(m, Direction.CITED, metric)
             assert d[0, 1] == pytest.approx(0.0, abs=1e-7)
 
     def test_near_identical_distributions_keep_their_digits(self):
@@ -213,14 +223,14 @@ class TestDistanceMatrix:
         d = distance_matrix(matrix_from_dense(counts), Direction.CITED, "relative_euclidean")
         q = counts / counts.sum(axis=1, keepdims=True)
         explicit = np.sqrt(((q[:, None, :] - q[None, :, :]) ** 2).sum(axis=-1))
-        assert d.to_dense()[1, 3] == 0.0
-        np.testing.assert_allclose(d.to_dense(), explicit, rtol=1e-12, atol=1e-15)
+        assert d[1, 3] == 0.0
+        np.testing.assert_allclose(d, explicit, rtol=1e-12, atol=1e-15)
 
     def test_disjoint_supports(self):
         m = matrix_from_dense([[5, 0], [0, 3]])
-        omc = distance_matrix(m, Direction.CITED, "one_minus_cosine").to_dense()
+        omc = distance_matrix(m, Direction.CITED, "one_minus_cosine")
         assert omc[0, 1] == pytest.approx(1.0, abs=1e-12)
-        euc = distance_matrix(m, Direction.CITED, "relative_euclidean").to_dense()
+        euc = distance_matrix(m, Direction.CITED, "relative_euclidean")
         assert euc[0, 1] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_diagonal_zeroed(self):
@@ -228,13 +238,13 @@ class TestDistanceMatrix:
         rows, cols, counts = random_sparse_counts(rng, 10)
         m = CitationMatrix(10, rows, cols, counts)
         for metric in ("one_minus_cosine", "relative_euclidean"):
-            d = distance_matrix(m, Direction.CITED, metric).to_dense()
+            d = distance_matrix(m, Direction.CITED, metric)
             assert np.all(np.diag(d) == 0.0)
 
     def test_empty_vector_pairs_undefined(self):
         m = matrix_from_dense([[1, 1, 0], [0, 0, 0], [1, 0, 1]])
         d = distance_matrix(m, Direction.CITED, "one_minus_cosine")
-        dense = d.to_dense()
+        dense = d
         assert np.isnan(dense[0, 1]) and np.isnan(dense[1, 2])
         assert not np.isnan(dense[0, 2])
         assert dense[1, 1] == 0.0  # diagonal stays zeroed even when undefined
@@ -244,7 +254,7 @@ class TestDistanceMatrix:
         rows, cols, counts = random_sparse_counts(rng, 15, density=0.4)
         m = CitationMatrix(15, rows, cols, counts)
         for metric in ("one_minus_cosine", "relative_euclidean"):
-            d = distance_matrix(m, Direction.CITING, metric).to_dense()
+            d = distance_matrix(m, Direction.CITING, metric)
             ok = ~np.isnan(d)
             assert np.all(d[ok] >= 0.0)
             assert np.array_equal(np.isnan(d), np.isnan(d.T))
@@ -254,7 +264,7 @@ class TestDistanceMatrix:
         rng = np.random.default_rng(17)
         rows, cols, counts = random_sparse_counts(rng, 12, density=0.5)
         m = CitationMatrix(12, rows, cols, counts)
-        d = distance_matrix(m, Direction.CITED, "relative_euclidean").to_dense()
+        d = distance_matrix(m, Direction.CITED, "relative_euclidean")
         n = 12
         for _ in range(300):
             i, j, k = rng.integers(0, n, size=3)
@@ -270,8 +280,8 @@ class TestDistanceMatrix:
         scaled[rows == 3] *= 50  # scale journal 3's cited vector
         m2 = CitationMatrix(8, rows, cols, scaled)
         for metric in ("one_minus_cosine", "relative_euclidean"):
-            d1 = distance_matrix(m1, Direction.CITED, metric).to_dense()
-            d2 = distance_matrix(m2, Direction.CITED, metric).to_dense()
+            d1 = distance_matrix(m1, Direction.CITED, metric)
+            d2 = distance_matrix(m2, Direction.CITED, metric)
             ok = ~np.isnan(d1)
             assert np.allclose(d1[ok], d2[ok], atol=1e-9)
 
@@ -283,7 +293,7 @@ class TestDistanceMatrix:
         dense = m.tocsr().toarray().astype(np.float64)
         for axis, vectors in ((Direction.CITED, dense), (Direction.CITING, dense.T)):
             for metric in ("one_minus_cosine", "relative_euclidean"):
-                got = distance_matrix(m, axis, metric).to_dense()
+                got = distance_matrix(m, axis, metric)
                 for i in range(25):
                     for j in range(25):
                         a, b = vectors[i], vectors[j]
@@ -308,8 +318,8 @@ class TestExport:
         rng = np.random.default_rng(20)
         rows, cols, counts = random_sparse_counts(rng, 6, density=0.6)
         m = CitationMatrix(6, rows, cols, counts)
-        sym = cosine_matrix(m, Direction.CITED)
+        cos = cosine_matrix(m, Direction.CITED)
         path = tmp_path / "cos.mtx"
-        export_matrix_market(sym, path)
+        export_matrix_market(cos, path)
         back = scipy.io.mmread(str(path)).toarray()
-        assert np.allclose(back, sym.to_dense(), atol=1e-12)
+        assert np.allclose(back, cos, atol=1e-12)

@@ -1,17 +1,24 @@
-"""Property tests: the indicator table under relabelling and transposition.
+"""Property tests: the indicator table under relabelling, transposition,
+scaling and a change of input format.
 
 Random count matrices with at most 10 journals; every catalogue column,
-every support column and every degeneracy flag is compared within 1e-12.
+every support column and every degeneracy flag is compared within 1e-12,
+or exactly where the inputs hold the same matrix.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse as sp
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import indicator_table
-from interdisc.corpus import CitationMatrix
+from interdisc.corpus import CitationMatrix, load_edge_list, load_matrix_market
 from interdisc.pipeline import INDICATORS
 
 TOL = 1e-12
@@ -66,3 +73,43 @@ def test_permuting_journal_ids_permutes_every_column(counts, data):
         assert_close(permuted.column(name)[perm], column, name)
     for name, flag in table.flags.items():
         assert np.array_equal(permuted.flags[name][perm], flag)
+
+
+@given(count_matrices(), st.integers(2, 1000))
+def test_scaling_every_count_leaves_distribution_indicators_unchanged(counts, k):
+    table, scaled = table_of(counts), table_of(counts * k)
+    for indicator in INDICATORS:
+        if indicator.family == "vector" or indicator.diversity:
+            for direction in ("cited", "citing"):
+                name = f"{indicator.name}_{direction}"
+                # relative, with a floor for the rounding noise of a true zero:
+                # 1 - cosine of parallel vectors can come out as 1.1e-16
+                np.testing.assert_allclose(
+                    scaled.column(name), table.column(name), rtol=TOL, atol=1e-15, err_msg=name
+                )
+
+
+@given(count_matrices())
+def test_edge_list_and_matrix_market_give_identical_tables(counts):
+    # the edge list numbers journals by first appearance, citing name first;
+    # the Matrix Market file and its names sidecar list them in that order
+    cited, citing = np.nonzero(counts)
+    order = list(dict.fromkeys(x for pair in zip(citing, cited) for x in pair))
+    assume(len(order) == len(counts))  # every journal appears in some cell
+    with tempfile.TemporaryDirectory() as tmp:
+        edges, mtx, names = Path(tmp, "e.csv"), Path(tmp, "m.mtx"), Path(tmp, "names.txt")
+        edges.write_text(
+            "citing,cited,count\n"
+            + "".join(f"J{j},J{i},{counts[i, j]}\n" for i, j in zip(cited, citing)),
+            encoding="utf-8",
+        )
+        scipy.io.mmwrite(str(mtx), sp.coo_matrix(counts[np.ix_(order, order)]), field="integer")
+        names.write_text("".join(f"J{j}\n" for j in order), encoding="utf-8")
+        from_edges = indicator_table(*reversed(load_edge_list(edges)))
+        from_mtx = indicator_table(*reversed(load_matrix_market(mtx, names)))
+    assert from_edges.names == from_mtx.names
+    assert from_edges.columns.keys() == from_mtx.columns.keys()
+    for name, column in from_edges.columns.items():
+        assert np.array_equal(from_mtx.column(name), column, equal_nan=True), name
+    for name, flag in from_edges.flags.items():
+        assert np.array_equal(from_mtx.flags[name], flag), name

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from interdisc.errors import (
-    NumericalError,
     RankError,
     UndefinedCorrelationError,
 )
 from interdisc.stats import (
     IndicatorTable,
-    descriptive,
     pca,
     rank_column,
     significance_stars,
@@ -17,7 +15,7 @@ from interdisc.stats import (
     varimax,
     varimax_criterion,
 )
-from oracles import descriptive_two_pass, naive_spearman, varimax_grid_criterion
+from oracles import naive_spearman, varimax_grid_criterion
 
 
 def make_table(columns: dict) -> IndicatorTable:
@@ -151,36 +149,6 @@ class TestSpearmanMatrix:
         table = make_table({"gini": ginis, "entropy": entropies})
         corr = spearman_matrix(table, ["gini", "entropy"])
         assert corr.rho[0, 1] < -0.9
-
-
-class TestDescriptive:
-    def test_123(self):
-        stats = descriptive([1.0, 2.0, 3.0])
-        assert stats.mean == 2.0
-        assert stats.variance == 1.0
-
-    def test_constant(self):
-        stats = descriptive([4.0, 4.0, 4.0])
-        assert stats.std_dev == 0.0
-        assert stats.range_max_minus_min == 0.0
-
-    def test_ten_value_fixture(self):
-        values = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0, 1.0, 3.0]
-        stats = descriptive(values)
-        mean, var = descriptive_two_pass(values)
-        assert stats.mean == pytest.approx(mean, abs=1e-15)
-        assert stats.variance == pytest.approx(var, abs=1e-15)
-        assert stats.range_max_minus_min == 8.0
-        assert stats.range_from_zero == 9.0
-        assert stats.n == 10
-
-    def test_missing_dropped(self):
-        stats = descriptive([1.0, np.nan, 3.0])
-        assert stats.n == 2 and stats.mean == 2.0
-
-    def test_empty_raises(self):
-        with pytest.raises(NumericalError):
-            descriptive([np.nan])
 
 
 def _latent_table(rng, n=400, noise=0.4):
