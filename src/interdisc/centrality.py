@@ -1,10 +1,16 @@
 """Freeman betweenness centrality on binarized graphs.
 
 Betweenness is computed over unweighted geodesics with Brandes-style
-dependency accumulation.  Sources are processed in fixed-size batches whose
-BFS and accumulation steps are vectorized as adjacency-times-dense products,
-so one pass handles dozens of sources at once; batches are reduced in index
-order, which makes results identical regardless of worker count.
+dependency accumulation (Brandes 2001, in the batched-source form of Brandes
+2008).  Sources are processed in fixed-size batches whose BFS and
+accumulation steps are vectorized as adjacency-times-dense products, so one
+pass handles dozens of sources at once; batches are reduced in index order,
+which makes results identical regardless of worker count.  Only products
+that can change the result run: BFS level 1 is gathered from the sources'
+adjacency rows, the BFS stops at the level that reaches the last node, and
+accumulation stops at level 2, since level 1 only adds into the sources' own
+entries, which are not counted.  On a connected graph a batch whose BFS
+reaches depth L thus runs 2(L - 1) products.
 
 The adjacency format follows the graph's density.  Above `DENSE_DENSITY`,
 as co-occurrence graphs often are, it is an n x n float64 array and each
@@ -27,8 +33,12 @@ import scipy.sparse as sp
 from .netspace import BinaryGraph
 
 BATCH_SIZE = 64
-# Fraction of the n*n possible arcs above which the dense adjacency is used:
-# measured crossover of CSR and GEMM products on co-occurrence graphs.
+# Fraction of the n*n possible arcs above which the dense adjacency is used.
+# Measured on the benchmark corpora's four co-occurrence graphs (seed 1, 2 CPUs,
+# OpenBLAS; CSR with 2 workers against GEMM with 2 BLAS threads, best of 3):
+# CSR wins at density 0.031 (0.56 s against 2.29 s), 0.046 (0.84 / 2.47 s) and
+# 0.078 (0.23 / 0.32 s), GEMM at 0.49 (0.51 / 1.29 s).  Taking CSR cost as
+# linear in density puts the crossover between 0.11 and 0.19.
 DENSE_DENSITY = 0.1
 
 _WORKER_GRAPH: tuple[sp.csr_matrix, sp.csr_matrix] | None = None
@@ -44,6 +54,13 @@ def _batch_dependencies(
     `adj[v, w]` holds arc v -> w; `adj_t` is its transpose.  Both are float64,
     either CSR or dense.  Returns the per-node dependency totals with each
     source's own entry zeroed.
+
+    The first BFS step is the sources' rows of `adj`, gathered, not
+    multiplied.  The BFS stops once every (node, source) entry is reached, or
+    when a level reaches nothing new, and accumulation ends at level 2,
+    because level 1 would only add into the sources' own entries.  At BFS
+    depth L that is L - 1 forward products (L if some node is unreachable)
+    and L - 1 backward ones.
     """
     n = adj.shape[0]
     b = len(sources)
@@ -53,29 +70,32 @@ def _batch_dependencies(
     sigma = np.zeros((n, b))
     dist[sources, cols] = 0
     sigma[sources, cols] = 1.0
-    frontier = np.zeros((n, b))
-    frontier[sources, cols] = 1.0
 
+    rows = adj[sources]
+    paths = (rows.toarray() if sp.issparse(rows) else rows).T
+    unreached = n * b - b
     level = 0
     while True:
-        paths = adj_t.dot(sigma * frontier)
         newly = (dist < 0) & (paths > 0)
-        if not newly.any():
+        count = np.count_nonzero(newly)
+        if count == 0:
             break
         level += 1
         dist[newly] = level
         sigma[newly] = paths[newly]
-        frontier = newly.astype(np.float64)
+        unreached -= count
+        if unreached == 0:
+            break
+        paths = adj_t.dot(sigma * newly)
 
     delta = np.zeros((n, b))
-    for lev in range(level, 0, -1):
+    for lev in range(level, 1, -1):
         w_mask = dist == lev
         coef = np.zeros((n, b))
         np.divide(1.0 + delta, sigma, out=coef, where=w_mask)
         acc = adj.dot(coef)
         v_mask = dist == lev - 1
         delta[v_mask] += (sigma * acc)[v_mask]
-    delta[sources, cols] = 0.0
     return delta.sum(axis=1)
 
 

@@ -9,6 +9,7 @@ are journal self-citations and are kept.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -158,6 +159,15 @@ class CitationMatrix:
 # Ingestion
 
 
+@contextmanager
+def _utf8_text(path: str | Path):
+    """Report a file that does not decode as UTF-8 as a `ParseError`."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_count(text: str, line: int) -> int:
     try:
         value = int(text)
@@ -182,7 +192,7 @@ def load_edge_list(
         raise ParseError("min_count must be a positive integer")
     registry = JournalRegistry()
     cells: dict[tuple[int, int], int] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _utf8_text(path), open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -219,8 +229,17 @@ def load_matrix_market(
 
     Journals are named ``J<k>`` for row/column k unless a sidecar file with
     one name per line is supplied.  Duplicate coordinate entries are summed,
-    matching edge-list semantics; no count threshold is applied.
+    matching edge-list semantics; no count threshold is applied.  Any other
+    Matrix Market format is rejected before scipy parses it: a truncated
+    `array` file can crash scipy's reader.
     """
+    try:
+        with open(path, "rb") as fh:
+            banner = fh.readline(1024).decode("latin-1").casefold().split()
+    except OSError as exc:
+        raise ParseError(f"{path}: not a readable Matrix Market file ({exc})") from exc
+    if banner[:3] != ["%%matrixmarket", "matrix", "coordinate"]:
+        raise ParseError(f"{path}: expected a '%%MatrixMarket matrix coordinate' banner")
     try:
         mat = scipy.io.mmread(str(path))
     except Exception as exc:
@@ -230,6 +249,8 @@ def load_matrix_market(
     if rows != cols:
         raise DimensionError(f"{path}: matrix is {rows}x{cols}, expected square")
     data = np.asarray(mat.data)
+    if np.iscomplexobj(data):
+        raise ParseError(f"{path}: complex entries")
     if data.size and data.min() < 0:
         raise ParseError(f"{path}: negative entry {data.min()}")
     if not np.allclose(data, np.round(data)):
@@ -237,11 +258,9 @@ def load_matrix_market(
 
     registry = JournalRegistry()
     if names_path is not None:
-        names = [
-            line.strip()
-            for line in Path(names_path).read_text(encoding="utf-8-sig").splitlines()
-            if line.strip()
-        ]
+        with _utf8_text(names_path):
+            text = Path(names_path).read_text(encoding="utf-8-sig")
+        names = [line.strip() for line in text.splitlines() if line.strip()]
         if len(names) != rows:
             raise DimensionError(
                 f"{names_path}: {len(names)} names for a {rows}-journal matrix"
@@ -282,7 +301,7 @@ def load_metadata(path: str | Path, registry: JournalRegistry) -> int:
     """
     unmatched = 0
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _utf8_text(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -1,8 +1,10 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately naive: pairwise double loops, matrix-power
-geodesic enumeration, grid searches.  None of it shares code with the
-package under test.
+geodesic enumeration, grid searches.  The one exception is
+`brandes_batch_every_level`, a frozen copy of an earlier package recurrence
+kept as a bitwise reference.  None of it shares code with the package under
+test.
 """
 
 from __future__ import annotations
@@ -75,6 +77,48 @@ def brute_betweenness(adj, directed: bool) -> np.ndarray:
     if not directed:
         bc /= 2.0
     return bc
+
+
+def brandes_batch_every_level(adj, adj_t, sources) -> np.ndarray:
+    """Batched Brandes dependencies running one product at every level.
+
+    The earlier form of `centrality._batch_dependencies`, kept verbatim as a
+    bitwise reference: level 0 is a product with the source indicator, the
+    BFS runs until a product reaches nothing new, and accumulation runs down
+    to level 1 before the sources' entries are zeroed.
+    """
+    n = adj.shape[0]
+    b = len(sources)
+    cols = np.arange(b)
+
+    dist = np.full((n, b), -1, dtype=np.int32)
+    sigma = np.zeros((n, b))
+    dist[sources, cols] = 0
+    sigma[sources, cols] = 1.0
+    frontier = np.zeros((n, b))
+    frontier[sources, cols] = 1.0
+
+    level = 0
+    while True:
+        paths = adj_t.dot(sigma * frontier)
+        newly = (dist < 0) & (paths > 0)
+        if not newly.any():
+            break
+        level += 1
+        dist[newly] = level
+        sigma[newly] = paths[newly]
+        frontier = newly.astype(np.float64)
+
+    delta = np.zeros((n, b))
+    for lev in range(level, 0, -1):
+        w_mask = dist == lev
+        coef = np.zeros((n, b))
+        np.divide(1.0 + delta, sigma, out=coef, where=w_mask)
+        acc = adj.dot(coef)
+        v_mask = dist == lev - 1
+        delta[v_mask] += (sigma * acc)[v_mask]
+    delta[sources, cols] = 0.0
+    return delta.sum(axis=1)
 
 
 def naive_rao(p, d) -> float:

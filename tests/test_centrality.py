@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import shortest_path
 
 from conftest import indicator_table, random_sparse_counts
 from interdisc.centrality import (
@@ -16,7 +17,7 @@ from interdisc.centrality import (
 )
 from interdisc.corpus import CitationMatrix, Direction
 from interdisc.netspace import BinaryGraph, binarize, binarize_directed, cooccurrence_support
-from oracles import brute_betweenness
+from oracles import brandes_batch_every_level, brute_betweenness
 
 BETWEENNESS_COLUMNS = [
     f"betweenness_{kind}_{direction}"
@@ -195,6 +196,130 @@ class TestDenseAndSparseAdjacency:
             scores.append(np.load(out))
         assert np.any(scores[0] > 0)
         np.testing.assert_allclose(scores[0], scores[1], rtol=1e-12, atol=0)
+
+
+def path_graph(length: int) -> np.ndarray:
+    """Undirected path 0 - 1 - ... - length: depth `length` from node 0."""
+    adj = np.zeros((length + 1, length + 1))
+    for v in range(length):
+        adj[v, v + 1] = adj[v + 1, v] = 1.0
+    return adj
+
+
+def star_graph(leaves: int) -> np.ndarray:
+    adj = np.zeros((leaves + 1, leaves + 1))
+    adj[0, 1:] = adj[1:, 0] = 1.0
+    return adj
+
+
+def complete_bipartite(a: int, b: int) -> np.ndarray:
+    adj = np.zeros((a + b, a + b))
+    adj[:a, a:] = adj[a:, :a] = 1.0
+    return adj
+
+
+def level_test_graphs() -> dict[str, tuple[np.ndarray, bool]]:
+    """Float64 adjacency and directedness of graphs with unreachable nodes,
+    isolated sources, self-arcs and a BFS deeper than 5."""
+    rng = np.random.default_rng(44)
+    graphs = {}
+    for directed in (False, True):
+        kind = "directed" if directed else "undirected"
+        # disconnected parts of 20 or 30 nodes, then two isolated nodes
+        graphs[f"sparse_{kind}"] = (parted_graph(rng, 3, 20, 0.12, directed), directed)
+        graphs[f"dense_{kind}"] = (parted_graph(rng, 2, 30, 0.5, directed), directed)
+    self_arcs = parted_graph(rng, 3, 20, 0.12, True)
+    self_arcs[[0, 5, 33, 61], [0, 5, 33, 61]] = True  # sources in batches of 1, 7 and 64
+    graphs["self_arcs_directed"] = (self_arcs, True)
+    deep = np.zeros((70, 70), dtype=bool)  # a path of depth 11 beside a random part
+    deep[:12, :12] = path_graph(11) > 0
+    deep[20:60, 20:60] = rng.random((40, 40)) < 0.08
+    deep |= deep.T
+    np.fill_diagonal(deep, False)
+    graphs["deep_path_undirected"] = (deep, False)
+    one_way = np.zeros((10, 10), dtype=bool)  # 0 -> 1 -> ... -> 8, node 9 isolated
+    one_way[np.arange(8), np.arange(1, 9)] = True
+    graphs["path_directed"] = (one_way, True)
+    return {name: (adj.astype(np.float64), directed) for name, (adj, directed) in graphs.items()}
+
+
+LEVEL_TEST_GRAPHS = level_test_graphs()
+
+
+def counting(adj: np.ndarray, fmt: str):
+    """`adj` as an ndarray or CSR subclass whose `.dot` records each call."""
+    calls = []
+    if fmt == "ndarray":
+        class CountingArray(np.ndarray):
+            def dot(self, other):
+                calls.append(other.shape)
+                return np.asarray(self).dot(other)
+
+        return adj.view(CountingArray), calls
+
+    class CountingCSR(sp.csr_matrix):
+        def dot(self, other):
+            calls.append(other.shape)
+            return super().dot(other)
+
+    return CountingCSR(adj), calls
+
+
+class TestLevelSkipping:
+    """`_batch_dependencies` gathers BFS level 1, stops its BFS at the level
+    that reaches the last node and its accumulation at level 2.  The products
+    it leaves out cannot change a bit of the result."""
+
+    @pytest.mark.parametrize("fmt", ["ndarray", "csr"])
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    @pytest.mark.parametrize("name", sorted(LEVEL_TEST_GRAPHS))
+    def test_bitwise_equal_to_every_level_recurrence(self, name, batch, fmt):
+        adj, directed = LEVEL_TEST_GRAPHS[name]
+        if fmt == "csr":
+            adj = sp.csr_matrix(adj)
+        adj_t = (adj.T.tocsr() if fmt == "csr" else adj.T) if directed else adj
+        n = adj.shape[0]
+        for start in range(0, n, batch):
+            sources = np.arange(start, min(start + batch, n))
+            got = _batch_dependencies(adj, adj_t, sources)
+            want = brandes_batch_every_level(adj, adj_t, sources)
+            assert np.array_equal(got, want), f"sources {start}..{sources[-1]}"
+
+    def test_graphs_cover_the_corner_cases(self):
+        for name, (adj, _) in LEVEL_TEST_GRAPHS.items():
+            assert np.any(adj.sum(axis=0) + adj.sum(axis=1) == 0), name  # isolated node
+            assert np.any(adj > 0), name
+        assert np.any(np.diag(LEVEL_TEST_GRAPHS["self_arcs_directed"][0]) > 0)
+        hops = shortest_path(LEVEL_TEST_GRAPHS["deep_path_undirected"][0], unweighted=True)
+        assert hops[np.isfinite(hops)].max() >= 5
+
+    @pytest.mark.parametrize("fmt", ["ndarray", "csr"])
+    @pytest.mark.parametrize(
+        "adj, sources",
+        [
+            (star_graph(5), [0, 1, 2, 3, 4, 5]),
+            (star_graph(5), [3]),
+            (complete_bipartite(3, 3), [0, 1, 2, 3, 4, 5]),
+            (complete_bipartite(3, 3), [4]),
+            (complete_bipartite(3, 3), [0, 5]),
+        ],
+        ids=["star_all", "star_leaf", "k33_all", "k33_one", "k33_two"],
+    )
+    def test_two_products_per_batch_at_depth_two(self, adj, sources, fmt):
+        counted, calls = counting(adj, fmt)
+        sources = np.array(sources)
+        got = _batch_dependencies(counted, counted, sources)
+        assert len(calls) == 2
+        assert np.array_equal(got, brandes_batch_every_level(adj, adj, sources))
+
+    @pytest.mark.parametrize("fmt", ["ndarray", "csr"])
+    @pytest.mark.parametrize("length", [1, 2, 3, 5, 8])
+    def test_path_of_depth_l_takes_two_l_minus_two_products(self, length, fmt):
+        adj = path_graph(length)
+        counted, calls = counting(adj, fmt)
+        got = _batch_dependencies(counted, counted, np.array([0]))
+        assert len(calls) == 2 * (length - 1)
+        assert np.array_equal(got, brandes_batch_every_level(adj, adj, np.array([0])))
 
 
 class TestNormalization:

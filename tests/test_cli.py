@@ -634,6 +634,49 @@ class TestExitCodes:
         assert run(argv) == 2
         assert not (tmp_path / "o").exists() and not (tmp_path / "cos.mtx").exists()
 
+    @pytest.mark.parametrize("kind", ["edges", "names", "metadata"])
+    def test_non_utf8_file_is_2_naming_the_file(self, tmp_path, capsys, kind):
+        edges = tmp_path / "e.csv"
+        edges.write_bytes(b"citing,cited,count\nA,B,1\nB,C,2\nC,A,3\n")
+        mm = tmp_path / "m.mtx"
+        mm.write_text("%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2 3\n")
+        bad = tmp_path / f"{kind}.bad"
+        argv = ["indicators", "--outdir", tmp_path / "o"]
+        if kind == "edges":
+            bad.write_bytes(b"citing,cited,count\nA,B,1\n\xff,C,2\n")
+            argv += ["--edges", bad]
+        elif kind == "names":
+            bad.write_bytes(b"Alpha\nB\xffeta\n")
+            argv += ["--matrix-market", mm, "--names", bad]
+        else:
+            bad.write_bytes(b"name,category\nA,\xff\n")
+            argv += ["--edges", edges, "--metadata", bad]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8 text" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # scipy's reader crashes the process on this truncated array file
+            "%%MatrixMarket matrix array real general\n5 665\n8 i",
+            "%%MatrixMarket matrix array integer general\n2 2\n1\n2\n3\n4\n",
+            "%%MatrixMarket vector coordinate integer general\n2 1\n1 3\n",
+            "2 2 1\n1 2 3\n",
+        ],
+        ids=["truncated_array", "array", "vector", "no_banner"],
+    )
+    def test_non_coordinate_matrix_market_is_2_in_a_subprocess(self, tmp_path, text):
+        path = tmp_path / "m.mtx"
+        path.write_text(text, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "interdisc.cli", "indicators",
+             "--matrix-market", str(path), "--outdir", str(tmp_path / "o")],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "expected a '%%MatrixMarket matrix coordinate' banner" in proc.stderr
+
     def test_numerical_error_is_3(self, synth_outdir, tmp_path):
         # k larger than the column count triggers a rank error
         code = run(

@@ -192,6 +192,33 @@ class TestMatrixMarket:
         _, matrix = load_matrix_market(mm)
         assert matrix.nnz == 2 and matrix.tocsr()[0, 1] == 7
 
+    def test_banner_is_matched_without_case(self, tmp_path):
+        mm = write(
+            tmp_path,
+            "m.mtx",
+            "%%MatrixMarket MATRIX Coordinate integer general\n2 2 1\n1 2 3\n",
+        )
+        _, matrix = load_matrix_market(mm)
+        assert matrix.tocsr()[0, 1] == 3
+
+    def test_complex_field_is_parse_error(self, tmp_path):
+        mm = write(
+            tmp_path,
+            "m.mtx",
+            "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 2 3 4\n",
+        )
+        with pytest.raises(ParseError, match="complex"):
+            load_matrix_market(mm)
+
+    def test_array_format_is_parse_error(self, tmp_path):
+        mm = write(
+            tmp_path,
+            "m.mtx",
+            "%%MatrixMarket matrix array integer general\n2 2\n1\n2\n3\n4\n",
+        )
+        with pytest.raises(ParseError, match="coordinate"):
+            load_matrix_market(mm)
+
     def test_sidecar_names(self, tmp_path):
         mm = write(
             tmp_path,

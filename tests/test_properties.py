@@ -1,12 +1,14 @@
 """Property tests: the indicator table under relabelling, transposition,
-scaling and a change of input format.
+scaling and a change of input format, and the loaders on arbitrary bytes.
 
 Random count matrices with at most 10 journals; every catalogue column,
 every support column and every degeneracy flag is compared within 1e-12,
-or exactly where the inputs hold the same matrix.
+or exactly where the inputs hold the same matrix.  The loaders may reject
+any input, but only with an `InterdiscError`.
 """
 
 import tempfile
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import indicator_table
 from interdisc.corpus import CitationMatrix, load_edge_list, load_matrix_market
+from interdisc.errors import InterdiscError
 from interdisc.pipeline import INDICATORS
 
 TOL = 1e-12
@@ -113,3 +116,38 @@ def test_edge_list_and_matrix_market_give_identical_tables(counts):
         assert np.array_equal(from_mtx.column(name), column, equal_nan=True), name
     for name, flag in from_edges.flags.items():
         assert np.array_equal(from_mtx.flags[name], flag), name
+
+
+MM_FIELDS = ["integer", "real", "double", "complex", "pattern", "unsigned-integer"]
+MM_SYMMETRIES = ["general", "symmetric", "skew-symmetric", "hermitian"]
+# pieces of plausible and broken lines, so the tail often parses part-way
+TOKENS = [b"1", b"2", b"3", b"0", b"-1", b"2.5", b"1e400", b"nan", b"inf", b"99999999999999999999",
+          b"A", b"B", b"citing", b" ", b",", b"\t", b"\n", b"\r\n", b'"', b"%", b"\xff", b"\xef\xbb\xbf"]
+
+
+@st.composite
+def loader_inputs(draw) -> bytes:
+    """Arbitrary bytes, alone or after an edge-list header or a coordinate
+    banner and size line."""
+    kind = draw(st.sampled_from(["bare", "edges", "matrix_market"]))
+    if kind == "bare":
+        prefix = b""
+    elif kind == "edges":
+        prefix = b"citing,cited,count\n"
+    else:
+        size = " ".join(str(draw(st.integers(0, 4))) for _ in range(3))
+        prefix = (f"%%MatrixMarket matrix coordinate {draw(st.sampled_from(MM_FIELDS))} "
+                  f"{draw(st.sampled_from(MM_SYMMETRIES))}\n{size}\n").encode()
+    tail = draw(st.one_of(st.binary(max_size=120),
+                          st.lists(st.sampled_from(TOKENS), max_size=40).map(b"".join)))
+    return prefix + tail
+
+
+@given(loader_inputs())
+def test_loaders_raise_only_interdisc_errors(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "input")
+        path.write_bytes(data)
+        for load in (load_edge_list, load_matrix_market):
+            with suppress(InterdiscError):
+                load(path)
