@@ -5,12 +5,9 @@ dependency accumulation (Brandes 2001, in the batched-source form of Brandes
 2008).  Sources are processed in fixed-size batches whose BFS and
 accumulation steps are vectorized as adjacency-times-dense products, so one
 pass handles dozens of sources at once; batches are reduced in index order,
-which makes results identical regardless of worker count.  Only products
-that can change the result run: BFS level 1 is gathered from the sources'
-adjacency rows, the BFS stops at the level that reaches the last node, and
-accumulation stops at level 2, since level 1 only adds into the sources' own
-entries, which are not counted.  On a connected graph a batch whose BFS
-reaches depth L thus runs 2(L - 1) products.
+which makes results identical regardless of worker count.  A batch runs
+only the products that can change its result (see `_batch_dependencies`):
+on a connected graph, 2(L - 1) of them for a BFS of depth L.
 
 The adjacency format follows the graph's density.  Above `DENSE_DENSITY`,
 as co-occurrence graphs often are, it is an n x n float64 array and each
