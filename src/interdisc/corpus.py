@@ -253,8 +253,13 @@ def load_matrix_market(
         raise ParseError(f"{path}: complex entries")
     if data.size and data.min() < 0:
         raise ParseError(f"{path}: negative entry {data.min()}")
-    if not np.allclose(data, np.round(data)):
-        raise ParseError(f"{path}: non-integer entries")
+    if data.dtype.kind == "f":
+        # 2.0**63 is the first float past the int64 range
+        bad = ~np.isfinite(data) | (data != np.round(data)) | (data >= 2.0**63)
+    else:
+        bad = data > np.iinfo(np.int64).max
+    if bad.any():
+        raise ParseError(f"{path}: entry {data[bad][0].item()!r} is not an integer within int64")
 
     registry = JournalRegistry()
     if names_path is not None:

@@ -4,7 +4,10 @@ For a journal's citation distribution p over partner journals and a pairwise
 distance d between those partners, diversity is the full double sum of
 p_i * p_j * d(i, j) over ordered pairs i != j.  Pairs whose distance is
 undefined (a partner with an empty vector on the distance axis) contribute
-nothing and are counted separately.
+nothing and are counted separately.  `diversity_all` evaluates every journal
+at once without a dense n x n matrix: (1 - cosine) from the journals'
+distributions times the unit vectors, relative-Euclidean from one sparse
+distance per unordered pair of partners that share a distribution.
 """
 
 from __future__ import annotations
@@ -69,15 +72,10 @@ def rao_stirling(
             f"{undefined} journal pairs have undefined distances and were skipped",
             stacklevel=2,
         )
-    value = _quadratic_form(p, d)
-    return value / 2.0 if triangle_sum else value
-
-
-def _quadratic_form(p: np.ndarray, d: np.ndarray) -> float:
-    """p^T d p with NaN cells and the diagonal treated as zero."""
     d = np.nan_to_num(d, nan=0.0, copy=True)
     np.fill_diagonal(d, 0.0)
-    return float(p @ d @ p)
+    value = float(p @ d @ p)
+    return value / 2.0 if triangle_sum else value
 
 
 def diversity_all(
@@ -177,21 +175,18 @@ def _row_quadratic_forms(p: sp.csr_matrix, m: sp.csr_matrix) -> np.ndarray:
 
 
 def _all_cosine_bilinear(axis: sp.csr_matrix, p_def: sp.csr_matrix) -> np.ndarray:
-    """All (1 - cosine) diversities at once via the similarity Gram matrix.
+    """All (1 - cosine) diversities at once, without the similarity Gram.
 
-    With g the cosine similarity, sum_{i!=j} p_i p_j (1 - g_ij) splits into
-    (sum p)^2 - sum p^2 minus the same bilinear form in g, so only the sparse
-    Gram matrix is ever needed.
+    With U the L2-normalized vectors, the cosine similarity is G = U U^T and
+    p^T G p = |U^T p|^2.  Every defined partner has g_aa = 1, so the sum over
+    i != j of p_i p_j (1 - g_ij) is (sum p)^2 - |U^T p|^2, and only P U is
+    formed, in blocks of BATCH_SIZE journals.
     """
     unit, _ = _l2_normalize_rows(axis)
-    gram = unit.dot(unit.T).tocsr()
-    np.clip(gram.data, 0.0, 1.0, out=gram.data)
-    p_sq = p_def.multiply(p_def)
-    t1 = _row_sums(p_def) ** 2
-    t2 = _row_sums(p_sq)
-    s3 = _row_quadratic_forms(p_def, gram)
-    s4 = p_sq.dot(gram.diagonal())
-    values = (t1 - t2) - (s3 - s4)
+    values = _row_sums(p_def) ** 2
+    for start in range(0, p_def.shape[0], BATCH_SIZE):
+        pu = p_def[start : start + BATCH_SIZE].dot(unit)
+        values[start : start + BATCH_SIZE] -= _row_sums(pu.multiply(pu))
     np.clip(values, 0.0, None, out=values)
     return values
 
@@ -201,14 +196,15 @@ def _all_euclidean_pairs(axis: sp.csr_matrix, p_def: sp.csr_matrix) -> np.ndarra
 
     d(a, b)^2 = |q_a|^2 + |q_b|^2 - 2 q_a.q_b over the probability-normalized
     vectors q.  The square root rules out a bilinear split, so d is evaluated
-    explicitly, but only on the off-diagonal pairs that share some journal's
-    distribution (the support of B^T B for the pattern B of `p_def`).  Pairs
-    whose d^2 cancels to below CANCELLATION_RATIO of |q_a|^2 + |q_b|^2 are
-    recomputed from their differences.
+    explicitly, but only on the unordered pairs a < b that share some
+    journal's distribution (the strict upper triangle of B^T B for the pattern
+    B of `p_def`); d is symmetric, so each form is twice its upper-triangle
+    part.  Pairs whose d^2 cancels to below CANCELLATION_RATIO of
+    |q_a|^2 + |q_b|^2 are recomputed from their differences.
     """
     prob, _ = _l1_normalize_rows(axis)
     pattern = p_def.astype(bool).astype(np.int32)
-    pairs = _drop_diagonal(pattern.T.dot(pattern))
+    pairs = sp.triu(pattern.T.dot(pattern), k=1).tocsr()
     pairs.data[:] = 1.0
     sq = _row_sums(prob.multiply(prob))
     row_of = np.repeat(np.arange(pairs.shape[0]), np.diff(pairs.indptr))
@@ -222,4 +218,4 @@ def _all_euclidean_pairs(axis: sp.csr_matrix, p_def: sp.csr_matrix) -> np.ndarra
     dist.data[near] = _undo_cancellation(prob, sq, rows, cols, dist.data[near])
     np.clip(dist.data, 0.0, None, out=dist.data)
     np.sqrt(dist.data, out=dist.data)
-    return _row_quadratic_forms(p_def, dist)
+    return 2.0 * _row_quadratic_forms(p_def, dist)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import NumericalError, RankError, UndefinedCorrelationError
 
@@ -124,6 +123,9 @@ def spearman(x, y) -> SpearmanResult:
     if abs(rho) == 1.0:
         p = 0.0
     else:
+        # imported here: scipy.special costs every other command ~0.2 s of start-up
+        from scipy.special import stdtr
+
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
         p = float(2.0 * stdtr(n - 2, -abs(t)))
     return SpearmanResult(rho=rho, p_value=p, n=n)

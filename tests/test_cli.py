@@ -808,10 +808,11 @@ class TestTracedRun:
         assert json.loads(spans.read_text(encoding="utf-8"))["spans"]
 
 
-def test_cli_import_leaves_scipy_stats_out(tmp_path):
-    # scipy.stats takes most of a second to import and the p-values need
-    # only the Student t tail from scipy.special
-    code = "import sys, interdisc.cli; print('scipy.stats' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.special"])
+def test_cli_import_leaves_scipy_stats_out(tmp_path, module):
+    # scipy.stats takes most of a second to import and no command needs it;
+    # scipy.special takes ~0.2 s and only correlate's p-values need it
+    code = f"import sys, interdisc.cli; print({module!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=src_env(), cwd=tmp_path, capture_output=True, text=True, timeout=120,

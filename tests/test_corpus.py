@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,31 @@ class TestMatrixMarket:
         )
         with pytest.raises(ParseError, match="int64"):
             load_matrix_market(mm)
+
+    @pytest.mark.parametrize("field, entry, shown", [
+        ("real", "2.000001", "2.000001"),
+        ("real", "inf", "inf"),
+        ("real", "1e300", "1e+300"),
+        ("real", "nan", "nan"),
+        ("unsigned-integer", str(2**63), str(2**63)),
+    ])
+    def test_entry_that_is_not_an_int64_count_is_parse_error(self, tmp_path, field, entry, shown):
+        mm = write(
+            tmp_path,
+            "m.mtx",
+            f"%%MatrixMarket matrix coordinate {field} general\n2 2 1\n1 2 {entry}\n",
+        )
+        with pytest.raises(ParseError, match=re.escape(f"entry {shown} is not an integer")):
+            load_matrix_market(mm)
+
+    def test_integral_real_entry_loads(self, tmp_path):
+        mm = write(
+            tmp_path,
+            "m.mtx",
+            "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 2.0\n2 1 4e0\n",
+        )
+        _, matrix = load_matrix_market(mm)
+        assert matrix.tocsr()[0, 1] == 2 and matrix.tocsr()[1, 0] == 4
 
     def test_duplicate_entries_are_summed(self, tmp_path):
         mm = write(

@@ -1,5 +1,6 @@
 """Property tests: the indicator table under relabelling, transposition,
-scaling and a change of input format, and the loaders on arbitrary bytes.
+scaling and a change of input format, the all-journal diversity kernels
+against the naive double sum, and the loaders on arbitrary bytes.
 
 Random count matrices with at most 10 journals; every catalogue column,
 every support column and every degeneracy flag is compared within 1e-12,
@@ -21,8 +22,11 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import indicator_table
 from interdisc.corpus import CitationMatrix, load_edge_list, load_matrix_market
+from interdisc.diversity import diversity_all
 from interdisc.errors import InterdiscError
+from interdisc.netspace import distance_matrix
 from interdisc.pipeline import INDICATORS
+from oracles import naive_rao
 
 TOL = 1e-12
 
@@ -116,6 +120,61 @@ def test_edge_list_and_matrix_market_give_identical_tables(counts):
         assert np.array_equal(from_mtx.column(name), column, equal_nan=True), name
     for name, flag in from_edges.flags.items():
         assert np.array_equal(from_mtx.flags[name], flag), name
+
+
+@st.composite
+def diversity_matrices(draw) -> np.ndarray:
+    """Count matrices with the awkward cases made likely: empty rows and
+    columns, journals that cite only themselves, and partners whose vectors
+    are parallel on either axis."""
+    counts = draw(count_matrices())
+    journal = st.integers(0, len(counts) - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        case = draw(st.sampled_from(["empty_row", "empty_col", "self_only", "parallel"]))
+        j, k, scale = draw(journal), draw(journal), draw(st.integers(1, 4))
+        if case == "empty_row":
+            counts[j] = 0
+        elif case == "empty_col":
+            counts[:, j] = 0
+        elif case == "self_only":
+            counts[j] = counts[:, j] = 0
+            counts[j, j] = scale
+        elif draw(st.booleans()):
+            counts[j] = scale * counts[k]
+        else:
+            counts[:, j] = scale * counts[:, k]
+    assume(counts.any())
+    return counts
+
+
+@given(diversity_matrices())
+def test_diversity_all_matches_the_naive_double_sum(counts):
+    rows, cols = np.nonzero(counts)
+    matrix = CitationMatrix(len(counts), rows, cols, counts[rows, cols])
+    for direction in ("cited", "citing"):
+        axis = matrix.axis_matrix(direction).toarray().astype(np.float64)
+        for metric in ("one_minus_cosine", "relative_euclidean"):
+            dist = distance_matrix(matrix, direction, metric)
+            for exclude_self in (False, True):
+                label = f"{direction} {metric} exclude_self={exclude_self}"
+                full = diversity_all(matrix, direction, metric, exclude_self)
+                half = diversity_all(matrix, direction, metric, exclude_self, triangle_sum=True)
+                for j, (r, h) in enumerate(zip(full, half)):
+                    w = axis[j].copy()
+                    assert r.missing == (not w.any()), label
+                    assert r.degenerate == (not np.delete(w, j).any()), label
+                    if exclude_self:
+                        w[j] = 0.0
+                    ids = np.flatnonzero(w)
+                    block = dist[np.ix_(ids, ids)]
+                    undefined = np.isnan(block)
+                    np.fill_diagonal(undefined, False)
+                    want = naive_rao(w[ids] / w.sum(), block) if ids.size else 0.0
+                    assert abs(r.d_value - want) <= TOL, label
+                    assert r.undefined_pairs == np.count_nonzero(undefined), label
+                    assert h.d_value == r.d_value / 2.0, label
+                    assert (h.degenerate, h.missing, h.undefined_pairs) == (
+                        r.degenerate, r.missing, r.undefined_pairs), label
 
 
 MM_FIELDS = ["integer", "real", "double", "complex", "pattern", "unsigned-integer"]
