@@ -6,13 +6,15 @@ dependency accumulation (Brandes 2001, in the batched-source form of Brandes
 accumulation steps are vectorized as adjacency-times-dense products, so one
 pass handles dozens of sources at once; batches are reduced in index order,
 which makes results identical regardless of worker count.  A batch runs
-only the products that can change its result (see `_batch_dependencies`):
-on a connected graph, 2(L - 1) of them for a BFS of depth L.
+only the products that can change its result (see `_dependencies`): on a
+connected graph, 2(L - 1) of them for a BFS of depth L.  Each process
+allocates its work arrays once and reuses them for every batch and level.
 
 The adjacency format follows the graph's density.  Above `DENSE_DENSITY`,
 as co-occurrence graphs often are, it is an n x n float64 array and each
 product is a multithreaded BLAS GEMM run in the calling process; below it is
-CSR and batches may be spread over forked worker processes.  Both formats run
+CSR and its batches may be spread over forked worker processes, each taking
+one interleaved share (every `jobs`-th batch).  Both formats run
 the same recurrences.  The forward phase is exact either way (path counts are
 integers below 2**53); the backward sums may differ in the last bit between
 formats and between BLAS thread counts.
@@ -33,24 +35,31 @@ BATCH_SIZE = 64
 # Fraction of the n*n possible arcs above which the dense adjacency is used.
 # Measured on the benchmark corpora's four co-occurrence graphs (seed 1, 2 CPUs,
 # OpenBLAS; CSR with 2 workers against GEMM with 2 BLAS threads, best of 3):
-# CSR wins at density 0.031 (0.56 s against 2.29 s), 0.046 (0.84 / 2.47 s) and
-# 0.078 (0.23 / 0.32 s), GEMM at 0.49 (0.51 / 1.29 s).  Taking CSR cost as
-# linear in density puts the crossover between 0.11 and 0.19.
+# CSR wins at density 0.031 (0.49 s against 2.37 s), 0.046 (0.81 / 2.67 s) and
+# 0.078 (0.18 / 0.29 s; 0.39 / 0.32 s as a fresh process's first graph), GEMM
+# at 0.49 (0.54 / 1.44 s).  Taking CSR cost as linear in density puts the
+# crossover between 0.10 and 0.23.
 DENSE_DENSITY = 0.1
 
 _WORKER_GRAPH: tuple[sp.csr_matrix, sp.csr_matrix] | None = None
 
 
-def _batch_dependencies(
+def _dependencies(
     adj: sp.csr_matrix | np.ndarray,
     adj_t: sp.csr_matrix | np.ndarray,
-    sources: np.ndarray,
-) -> np.ndarray:
-    """Sum of Brandes dependency vectors for one batch of sources.
+    batches: list[np.ndarray],
+) -> list[np.ndarray]:
+    """Sum of Brandes dependency vectors for each batch of sources.
 
     `adj[v, w]` holds arc v -> w; `adj_t` is its transpose.  Both are float64,
-    either CSR or dense.  Returns the per-node dependency totals with each
-    source's own entry zeroed.
+    either CSR or dense.  Returns, per batch, the per-node dependency totals
+    with each source's own entry zeroed.
+
+    The work arrays are allocated once, flat, for the largest batch, and each
+    batch views a C-contiguous (n, b) prefix of them, so no batch or level
+    allocates and faults in n x b temporaries of its own; only the products'
+    results are new.  BFS level k is a boolean mask, kept until the backward
+    pass pairs it with level k - 1.
 
     The first BFS step is the sources' rows of `adj`, gathered, not
     multiplied.  The BFS stops once every (node, source) entry is reached, or
@@ -60,40 +69,55 @@ def _batch_dependencies(
     and L - 1 backward ones.
     """
     n = adj.shape[0]
-    b = len(sources)
-    cols = np.arange(b)
+    size = n * max(len(sources) for sources in batches)
+    sigma_buf, delta_buf, coef_buf = (np.empty(size) for _ in range(3))
+    unvisited_buf = np.empty(size, dtype=bool)
+    level_bufs: list[np.ndarray] = []  # level k's mask in level_bufs[k - 1]
 
-    dist = np.full((n, b), -1, dtype=np.int32)
-    sigma = np.zeros((n, b))
-    dist[sources, cols] = 0
-    sigma[sources, cols] = 1.0
+    totals = []
+    for sources in batches:
+        b = len(sources)
+        cols = np.arange(b)
+        sigma, delta, coef, unvisited = (
+            buf[: n * b].reshape(n, b) for buf in (sigma_buf, delta_buf, coef_buf, unvisited_buf)
+        )
+        sigma.fill(0.0)
+        sigma[sources, cols] = 1.0
+        unvisited.fill(True)
+        unvisited[sources, cols] = False
 
-    rows = adj[sources]
-    paths = (rows.toarray() if sp.issparse(rows) else rows).T
-    unreached = n * b - b
-    level = 0
-    while True:
-        newly = (dist < 0) & (paths > 0)
-        count = np.count_nonzero(newly)
-        if count == 0:
-            break
-        level += 1
-        dist[newly] = level
-        sigma[newly] = paths[newly]
-        unreached -= count
-        if unreached == 0:
-            break
-        paths = adj_t.dot(sigma * newly)
+        rows = adj[sources]
+        paths = (rows.toarray() if sp.issparse(rows) else rows).T
+        levels: list[np.ndarray] = []
+        unreached = n * b - b
+        while True:
+            if len(level_bufs) == len(levels):
+                level_bufs.append(np.empty(size, dtype=bool))
+            newly = level_bufs[len(levels)][: n * b].reshape(n, b)
+            np.greater(paths, 0.0, out=newly)
+            newly &= unvisited
+            count = np.count_nonzero(newly)
+            if count == 0:
+                break
+            levels.append(newly)
+            np.copyto(sigma, paths, where=newly)
+            unvisited ^= newly
+            unreached -= count
+            if unreached == 0:
+                break
+            np.multiply(sigma, newly, out=coef)
+            paths = adj_t.dot(coef)
 
-    delta = np.zeros((n, b))
-    for lev in range(level, 1, -1):
-        w_mask = dist == lev
-        coef = np.zeros((n, b))
-        np.divide(1.0 + delta, sigma, out=coef, where=w_mask)
-        acc = adj.dot(coef)
-        v_mask = dist == lev - 1
-        delta[v_mask] += (sigma * acc)[v_mask]
-    return delta.sum(axis=1)
+        delta.fill(0.0)
+        for k in range(len(levels) - 1, 0, -1):
+            np.add(delta, 1.0, out=coef)
+            np.divide(coef, sigma, out=coef, where=levels[k])
+            coef *= levels[k]
+            acc = adj.dot(coef)
+            acc *= sigma
+            np.add(delta, acc, out=delta, where=levels[k - 1])
+        totals.append(delta.sum(axis=1))
+    return totals
 
 
 def _init_worker(adj: sp.csr_matrix, adj_t: sp.csr_matrix) -> None:
@@ -101,9 +125,8 @@ def _init_worker(adj: sp.csr_matrix, adj_t: sp.csr_matrix) -> None:
     _WORKER_GRAPH = (adj, adj_t)
 
 
-def _worker_batch(sources: np.ndarray) -> np.ndarray:
-    adj, adj_t = _WORKER_GRAPH
-    return _batch_dependencies(adj, adj_t, sources)
+def _worker_dependencies(batches: list[np.ndarray]) -> list[np.ndarray]:
+    return _dependencies(*_WORKER_GRAPH, batches)
 
 
 def betweenness(
@@ -139,17 +162,22 @@ def betweenness(
         adj = graph.adjacency.astype(np.float64).tocsr()
         adj_t = adj.T.tocsr() if graph.directed else adj
 
-    if not dense and jobs > 1 and len(batches) > 1:
+    workers = 1 if dense else min(jobs, len(batches))
+    if workers > 1:
+        # one interleaved share per worker, put back in batch order below
         ctx = mp.get_context("fork")
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(batches)),
+            max_workers=workers,
             mp_context=ctx,
             initializer=_init_worker,
             initargs=(adj, adj_t),
         ) as pool:
-            partials = list(pool.map(_worker_batch, batches))
+            shares = pool.map(_worker_dependencies, [batches[w::workers] for w in range(workers)])
+            partials = [None] * len(batches)
+            for w, share in enumerate(shares):
+                partials[w::workers] = share
     else:
-        partials = [_batch_dependencies(adj, adj_t, batch) for batch in batches]
+        partials = _dependencies(adj, adj_t, batches)
 
     for part in partials:  # fixed reduction order keeps results deterministic
         scores += part

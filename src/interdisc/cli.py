@@ -22,6 +22,7 @@ from .errors import DataError, InterdiscError, NumericalError, UsageError
 from .netspace import cooccurrence, cosine_matrix, distance_matrix, export_matrix_market
 from .pipeline import (
     RunConfig,
+    _direction_of,
     compute_indicator_table,
     load_corpus,
     ranking,
@@ -204,7 +205,13 @@ def cmd_rank(args) -> int:
 
 
 def _table_for_stats(args, config: RunConfig, default_columns: list[str]):
-    """The table of the --columns (else the defaults), degenerate rows dropped."""
+    """The table of the --columns (else the defaults), degenerate rows dropped.
+
+    A journal is dropped when it is degenerate in the direction of some column
+    in use: the direction the column's name ends with, or, for a column that
+    names none, any of `config.directions`.  So the default `factor`, whose
+    columns are all cited-side, keeps journals degenerate only when citing.
+    """
     columns = _split(args.columns) if args.columns else default_columns
     corpus = load_corpus(config)
     table = compute_indicator_table(corpus.matrix, corpus.registry, config, columns)
@@ -212,7 +219,9 @@ def _table_for_stats(args, config: RunConfig, default_columns: list[str]):
     if missing:
         raise UsageError(f"unknown indicator columns: {missing}")
     if not args.include_degenerate:
-        degenerate = [table.flags[f"degenerate_{d}"] for d in config.directions]
+        named = [_direction_of(c) for c in columns]
+        directions = {d for d in named if d} | (set(config.directions) if None in named else set())
+        degenerate = [table.flags[f"degenerate_{d}"] for d in directions]
         table = table.select_rows(~np.logical_or.reduce(degenerate))
     return corpus, table, columns
 

@@ -82,10 +82,10 @@ def brute_betweenness(adj, directed: bool) -> np.ndarray:
 def brandes_batch_every_level(adj, adj_t, sources) -> np.ndarray:
     """Batched Brandes dependencies running one product at every level.
 
-    The earlier form of `centrality._batch_dependencies`, kept verbatim as a
-    bitwise reference: level 0 is a product with the source indicator, the
-    BFS runs until a product reaches nothing new, and accumulation runs down
-    to level 1 before the sources' entries are zeroed.
+    An earlier form of the batch recurrence in `centrality._dependencies`,
+    kept verbatim as a bitwise reference: level 0 is a product with the
+    source indicator, the BFS runs until a product reaches nothing new, and
+    accumulation runs down to level 1 before the sources' entries are zeroed.
     """
     n = adj.shape[0]
     b = len(sources)

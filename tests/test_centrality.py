@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import shortest_path
 from conftest import indicator_table, random_sparse_counts
 from interdisc.centrality import (
     DENSE_DENSITY,
-    _batch_dependencies,
+    _dependencies,
     betweenness,
     normalize_betweenness,
 )
@@ -107,14 +107,17 @@ class TestDeterminismAndJobs:
         b = betweenness(graph)
         assert np.array_equal(a, b)
 
+    # 5 batches: workers take interleaved shares of 3 and 2, or of 2, 2 and 1
+    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
     @pytest.mark.parametrize("p, dense", [(0.05, False), (0.2, True)], ids=["sparse", "dense"])
-    def test_jobs_do_not_change_results(self, p, dense):
+    def test_jobs_do_not_change_results(self, p, dense, directed, jobs):
         rng = np.random.default_rng(24)
         adj = rng.random((150, 150)) < p
-        graph = graph_from_dense(adj, directed=False)
+        graph = graph_from_dense(adj, directed=directed)
         assert runs_dense(graph) == dense
         sequential = betweenness(graph, jobs=1, batch_size=32)
-        parallel = betweenness(graph, jobs=2, batch_size=32)
+        parallel = betweenness(graph, jobs=jobs, batch_size=32)
         assert np.array_equal(sequential, parallel)
 
     def test_batch_size_does_not_change_results_beyond_tolerance(self):
@@ -159,13 +162,13 @@ class TestDenseAndSparseAdjacency:
             assert np.allclose(got, want, atol=1e-9), f"trial {trial}"
 
     @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
-    def test_batch_dependencies_same_on_ndarray_and_csr(self, directed):
+    def test_dependencies_same_on_ndarray_and_csr(self, directed):
         rng = np.random.default_rng(42)
         adj = parted_graph(rng, 2, 40, 0.15, directed).astype(np.float64)
         csr = sp.csr_matrix(adj)
         sources = np.arange(3, 40)
-        dense = _batch_dependencies(adj, adj.T, sources)
-        sparse = _batch_dependencies(csr, csr.T.tocsr(), sources)
+        (dense,) = _dependencies(adj, adj.T, [sources])
+        (sparse,) = _dependencies(csr, csr.T.tocsr(), [sources])
         assert np.any(sparse > 0)
         np.testing.assert_allclose(dense, sparse, rtol=1e-12, atol=0)
 
@@ -266,7 +269,7 @@ def counting(adj: np.ndarray, fmt: str):
 
 
 class TestLevelSkipping:
-    """`_batch_dependencies` gathers BFS level 1, stops its BFS at the level
+    """`_dependencies` gathers BFS level 1, stops its BFS at the level
     that reaches the last node and its accumulation at level 2.  The products
     it leaves out cannot change a bit of the result."""
 
@@ -281,9 +284,31 @@ class TestLevelSkipping:
         n = adj.shape[0]
         for start in range(0, n, batch):
             sources = np.arange(start, min(start + batch, n))
-            got = _batch_dependencies(adj, adj_t, sources)
+            (got,) = _dependencies(adj, adj_t, [sources])
             want = brandes_batch_every_level(adj, adj_t, sources)
             assert np.array_equal(got, want), f"sources {start}..{sources[-1]}"
+
+    @pytest.mark.parametrize("fmt", ["ndarray", "csr"])
+    def test_reused_work_arrays_carry_nothing_between_batches(self, fmt):
+        # One call runs deep and shallow batches through the same work arrays:
+        # the 11-hop path, isolated nodes, the random part, and a short last batch.
+        adj, _ = LEVEL_TEST_GRAPHS["deep_path_undirected"]
+        if fmt == "csr":
+            adj = sp.csr_matrix(adj)
+        batches = [
+            np.arange(0, 12),
+            np.arange(12, 24),
+            np.r_[60:70, 0, 11],
+            np.arange(24, 36),
+            np.arange(36, 48),
+            np.arange(48, 60),
+            np.array([3, 8, 40]),
+        ]
+        got = _dependencies(adj, adj, batches)
+        assert len(got) == len(batches)
+        for sources, vector in zip(batches, got):
+            want = brandes_batch_every_level(adj, adj, sources)
+            assert np.array_equal(vector, want), f"sources {sources}"
 
     def test_graphs_cover_the_corner_cases(self):
         for name, (adj, _) in LEVEL_TEST_GRAPHS.items():
@@ -308,7 +333,7 @@ class TestLevelSkipping:
     def test_two_products_per_batch_at_depth_two(self, adj, sources, fmt):
         counted, calls = counting(adj, fmt)
         sources = np.array(sources)
-        got = _batch_dependencies(counted, counted, sources)
+        (got,) = _dependencies(counted, counted, [sources])
         assert len(calls) == 2
         assert np.array_equal(got, brandes_batch_every_level(adj, adj, sources))
 
@@ -317,7 +342,7 @@ class TestLevelSkipping:
     def test_path_of_depth_l_takes_two_l_minus_two_products(self, length, fmt):
         adj = path_graph(length)
         counted, calls = counting(adj, fmt)
-        got = _batch_dependencies(counted, counted, np.array([0]))
+        (got,) = _dependencies(counted, counted, [np.array([0])])
         assert len(calls) == 2 * (length - 1)
         assert np.array_equal(got, brandes_batch_every_level(adj, adj, np.array([0])))
 

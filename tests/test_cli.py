@@ -78,6 +78,28 @@ class TestIndicatorsCommand:
         for name in names:
             assert (out / name).read_bytes() == first[name]
 
+    def test_parallel_vectors_read_zero_one_minus_cosine_at_any_scale(self, tmp_path):
+        # A and B cite and are cited by both: every vector is (k, k), so each
+        # (1 - cosine) diversity is 0, whatever the count k
+        columns = {}
+        for k in (1, 3):
+            edges = tmp_path / f"e{k}.csv"
+            edges.write_text(
+                f"citing,cited,count\nA,A,{k}\nA,B,{k}\nB,A,{k}\nB,B,{k}\n", encoding="utf-8"
+            )
+            out = tmp_path / f"out{k}"
+            assert run(["indicators", "--edges", edges, "--outdir", out]) == 0
+            for direction in ("cited", "citing"):
+                lines = [
+                    line.split(",")
+                    for line in (out / f"indicators_{direction}.csv").read_text().splitlines()
+                    if line and not line.startswith("#")
+                ]
+                col = lines[0].index(f"rao_stirling_one_minus_cosine_{direction}")
+                columns[k, direction] = [row[col] for row in lines[1:]]
+        for direction in ("cited", "citing"):
+            assert columns[1, direction] == columns[3, direction] == ["0", "0"]
+
     def test_empty_direction_journal_is_flagged_row(self, tmp_path):
         edges = tmp_path / "e.csv"
         edges.write_text("citing,cited,count\nB,A,3\nC,A,2\n", encoding="utf-8")
@@ -301,6 +323,33 @@ class TestCorrelateAndFactor:
         text = (out / "factors.csv").read_text()
         assert "cumulative variance explained" in text
         assert "rotation converged in" in text
+
+    def test_default_factor_keeps_journal_degenerate_only_when_citing(
+        self, synth_outdir, tmp_path
+    ):
+        # X cites one journal (degenerate on the citing side) and is cited by
+        # two (not degenerate on the cited side, where every default column is)
+        edges = tmp_path / "edges.csv"
+        text = (synth_outdir / "edges.csv").read_text(encoding="utf-8")
+        first, second = [line.split(",")[1] for line in text.splitlines()[1:3]]
+        assert first != second
+        edges.write_text(text + f"X,{first},1\n{first},X,2\n{second},X,3\n", encoding="utf-8")
+        config = RunConfig(edges=str(edges))
+        corpus = pipeline.load_corpus(config)
+        table = compute_indicator_table(
+            corpus.matrix, corpus.registry, config, DEFAULT_FACTOR_COLUMNS
+        )
+        x = corpus.registry.id_of("X")
+        assert table.flags["degenerate_citing"][x] and not table.flags["degenerate_cited"][x]
+        complete = table.listwise_mask(DEFAULT_FACTOR_COLUMNS)
+        out = tmp_path / "factor"
+        assert run(["factor", "--edges", edges, "--outdir", out]) == 0
+        report = json.loads((out / "factors.json").read_text())
+        assert report["columns"] == DEFAULT_FACTOR_COLUMNS
+        assert report["n_observations"] == np.count_nonzero(
+            complete & ~table.flags["degenerate_cited"]
+        )
+        assert complete[x]
 
     def test_synthetic_three_block_factor_alignment(self, tmp_path):
         # build an indicator table whose blocks come from independent latent

@@ -89,8 +89,8 @@ def test_scaling_every_count_leaves_distribution_indicators_unchanged(counts, k)
         if indicator.family == "vector" or indicator.diversity:
             for direction in ("cited", "citing"):
                 name = f"{indicator.name}_{direction}"
-                # relative, with a floor for the rounding noise of a true zero:
-                # 1 - cosine of parallel vectors can come out as 1.1e-16
+                # relative, with a floor for the cancellation in the 1 - cosine
+                # form: without it, 3,000 examples found 6.8e-4 off by 7.8e-16
                 np.testing.assert_allclose(
                     scaled.column(name), table.column(name), rtol=TOL, atol=1e-15, err_msg=name
                 )
