@@ -7,14 +7,15 @@ accumulation steps are vectorized as adjacency-times-dense products, so one
 pass handles dozens of sources at once; batches are reduced in index order,
 which makes results identical regardless of worker count.  A batch runs
 only the products that can change its result (see `_dependencies`): on a
-connected graph, 2(L - 1) of them for a BFS of depth L.  Each process
+connected graph, 2(L - 1) of them for a BFS of depth L.  Each worker
 allocates its work arrays once and reuses them for every batch and level.
 
 The adjacency format follows the graph's density.  Above `DENSE_DENSITY`,
 as co-occurrence graphs often are, it is an n x n float64 array and each
-product is a multithreaded BLAS GEMM run in the calling process; below it is
-CSR and its batches may be spread over forked worker processes, each taking
-one interleaved share (every `jobs`-th batch).  Both formats run
+product is a multithreaded BLAS GEMM run in the calling thread; below it is
+CSR and its batches may be spread over worker threads that share it, each
+taking one interleaved share (every `jobs`-th batch).  The sparse products
+and the elementwise steps release the GIL.  Both formats run
 the same recurrences.  The forward phase is exact either way (path counts are
 integers below 2**53); the backward sums may differ in the last bit between
 formats and between BLAS thread counts.
@@ -22,9 +23,7 @@ formats and between BLAS thread counts.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
-import multiprocessing as mp
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,14 +33,12 @@ from .netspace import BinaryGraph
 BATCH_SIZE = 64
 # Fraction of the n*n possible arcs above which the dense adjacency is used.
 # Measured on the benchmark corpora's four co-occurrence graphs (seed 1, 2 CPUs,
-# OpenBLAS; CSR with 2 workers against GEMM with 2 BLAS threads, best of 3):
-# CSR wins at density 0.031 (0.49 s against 2.37 s), 0.046 (0.81 / 2.67 s) and
-# 0.078 (0.18 / 0.29 s; 0.39 / 0.32 s as a fresh process's first graph), GEMM
-# at 0.49 (0.54 / 1.44 s).  Taking CSR cost as linear in density puts the
-# crossover between 0.10 and 0.23.
+# OpenBLAS; CSR with 2 worker threads against GEMM with 2 BLAS threads, best of
+# 3 in two runs): CSR wins at density 0.031 (0.55 s against 2.21-2.34 s), 0.046
+# (0.78 / 2.18-2.46 s) and 0.078 (0.16-0.27 / 0.28 s; 0.18-0.32 / 0.28-0.62 s as
+# a fresh process's first graph), GEMM at 0.49 (1.24-1.34 / 0.47-0.51 s).
+# Taking CSR cost as linear in density puts the crossover between 0.08 and 0.19.
 DENSE_DENSITY = 0.1
-
-_WORKER_GRAPH: tuple[sp.csr_matrix, sp.csr_matrix] | None = None
 
 
 def _dependencies(
@@ -120,15 +117,6 @@ def _dependencies(
     return totals
 
 
-def _init_worker(adj: sp.csr_matrix, adj_t: sp.csr_matrix) -> None:
-    global _WORKER_GRAPH
-    _WORKER_GRAPH = (adj, adj_t)
-
-
-def _worker_dependencies(batches: list[np.ndarray]) -> list[np.ndarray]:
-    return _dependencies(*_WORKER_GRAPH, batches)
-
-
 def betweenness(
     graph: BinaryGraph, jobs: int = 1, batch_size: int = BATCH_SIZE
 ) -> np.ndarray:
@@ -139,9 +127,10 @@ def betweenness(
     contribute nothing.
 
     A graph with more than `DENSE_DENSITY * n * n` arcs runs on a dense
-    float64 adjacency (8 n^2 bytes) in this process, using the BLAS threads;
-    `jobs` applies only to sparser graphs, whose batches it spreads over
-    forked workers.  Results do not depend on `jobs`.
+    float64 adjacency (8 n^2 bytes) in the calling thread, using the BLAS
+    threads; `jobs` applies only to sparser graphs, whose batches it spreads
+    over that many threads sharing the adjacency.  Results do not depend on
+    `jobs`.
     """
     n = graph.n
     scores = np.zeros(n)
@@ -163,21 +152,14 @@ def betweenness(
         adj_t = adj.T.tocsr() if graph.directed else adj
 
     workers = 1 if dense else min(jobs, len(batches))
-    if workers > 1:
-        # one interleaved share per worker, put back in batch order below
-        ctx = mp.get_context("fork")
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=ctx,
-            initializer=_init_worker,
-            initargs=(adj, adj_t),
-        ) as pool:
-            shares = pool.map(_worker_dependencies, [batches[w::workers] for w in range(workers)])
-            partials = [None] * len(batches)
-            for w, share in enumerate(shares):
-                partials[w::workers] = share
-    else:
+    if workers == 1:
         partials = _dependencies(adj, adj_t, batches)
+    else:  # one interleaved share per thread, put back in batch order
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            shares = list(
+                pool.map(lambda w: _dependencies(adj, adj_t, batches[w::workers]), range(workers))
+            )
+        partials = [shares[i % workers][i // workers] for i in range(len(batches))]
 
     for part in partials:  # fixed reduction order keeps results deterministic
         scores += part

@@ -87,26 +87,13 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                    help="drop the diagonal from diversity distributions (sensitivity)")
     p.add_argument("-k", "--factors", dest="factors_k", type=int, help="factor count")
     p.add_argument("--jobs", type=int,
-                   help="parallel workers for betweenness on sparse graphs "
+                   help="worker threads for betweenness on sparse graphs "
                         "(dense graphs use the BLAS threads)")
     p.add_argument("--seed", type=int, help="random seed (synthetic data only)")
 
 
-_CONFIG_FLAGS = [
-    "edges",
-    "matrix_market",
-    "names_file",
-    "metadata",
-    "outdir",
-    "min_count",
-    "cosine_threshold",
-    "gini_include_zeros",
-    "triangle_sum",
-    "exclude_self_citations_from_p",
-    "factors_k",
-    "jobs",
-    "seed",
-]
+_LIST_FLAGS = ("directions", "metrics")  # comma-separated on the command line
+_CONFIG_FLAGS = [name for name in RunConfig.__dataclass_fields__ if name not in _LIST_FLAGS]
 
 
 def _split(text: str) -> list[str]:
@@ -139,7 +126,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             data[name] = value
-    for name in ("directions", "metrics"):
+    for name in _LIST_FLAGS:
         value = getattr(args, name, None)
         if value is not None:
             data[name] = _split(value)
@@ -288,8 +275,6 @@ def _synth_spec_from_args(args) -> SyntheticSpec:
         try:
             bridges = [BridgeSpec(**b) for b in data.pop("bridges", [])]
             generalists = [GeneralistSpec(**g) for g in data.pop("generalists", [])]
-            if "evenness_range" in data:
-                data["evenness_range"] = tuple(data["evenness_range"])
             spec = SyntheticSpec(bridges=bridges, generalists=generalists, **data)
             spec.validate()
         except TypeError as exc:  # an unknown or missing key, or a value of the wrong type
@@ -300,6 +285,10 @@ def _synth_spec_from_args(args) -> SyntheticSpec:
     for flag in ("bridges", "generalists"):
         if getattr(args, flag) < 0:
             raise UsageError(f"--{flag} must be at least 0, not {getattr(args, flag)}")
+    if not (math.isfinite(args.generalist_volume) and args.generalist_volume >= 1.0):
+        raise DataError(
+            f"--generalist-volume must be a finite number >= 1, not {args.generalist_volume}"
+        )
     return uniform_spec(
         _int_list(args.clusters, "--clusters"),
         within_rate=args.within_rate,

@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .corpus import canonical_name
 from .errors import DataError
 
 PRNG_IDENTITY = "numpy.random.Generator(PCG64)"
@@ -55,32 +58,56 @@ class SyntheticSpec:
     self_citation_mean: float = 12.0
     evenness_range: tuple[float, float] = (0.1, 10.0)
 
+    def journal_names(self) -> list[str]:
+        """Every journal's name in id order: cluster members, bridges, generalists."""
+        members = [
+            f"C{c:02d}_J{j:03d}" for c, size in enumerate(self.cluster_sizes) for j in range(size)
+        ]
+        return members + [s.name for s in list(self.bridges) + list(self.generalists)]
+
     def validate(self) -> None:
-        if not self.cluster_sizes or any(s < 1 for s in self.cluster_sizes):
-            raise DataError("cluster sizes must be a nonempty list of positive ints")
-        if not 0.0 <= self.within_rate <= 1.0:
-            raise DataError(f"within_rate {self.within_rate} outside [0, 1]")
-        if not 0.0 <= self.leakage_rate <= 1.0:
-            raise DataError(f"leakage_rate {self.leakage_rate} outside [0, 1]")
-        k = len(self.cluster_sizes)
+        """Raise `DataError`, naming the field, for a spec `generate` cannot honour."""
+        sizes = self.cluster_sizes
+        if not sizes or not all(_is_int(s) and s >= 1 for s in sizes):
+            raise DataError(f"cluster_sizes must be a nonempty list of positive ints: {sizes!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise DataError(f"seed must be a nonnegative int, not {self.seed!r}")
+        for name in ("within_rate", "leakage_rate"):
+            value = getattr(self, name)
+            if not (_is_finite(value) and 0.0 <= value <= 1.0):
+                raise DataError(f"{name} {value!r} outside [0, 1]")
+        for name in ("count_mean", "self_citation_mean"):
+            value = getattr(self, name)
+            if not (_is_finite(value) and value >= 0):
+                raise DataError(f"{name} must be a finite number >= 0, not {value!r}")
+        ev = self.evenness_range
+        if not (len(ev) == 2 and all(_is_finite(v) for v in ev) and 0 < ev[0] <= ev[1]):
+            raise DataError(f"evenness_range must be two numbers with 0 < lo <= hi, not {ev!r}")
+        k = len(sizes)
         for spec in list(self.bridges) + list(self.generalists):
             if len(spec.allocation) != k:
                 raise DataError(
                     f"{spec.name}: allocation has {len(spec.allocation)} weights "
                     f"for {k} clusters"
                 )
-            if any(w < 0 for w in spec.allocation):
-                raise DataError(f"{spec.name}: negative allocation weight")
+            if not all(_is_finite(w) and w >= 0 for w in spec.allocation):
+                raise DataError(f"{spec.name}: allocation weights must be finite and >= 0")
             if abs(sum(spec.allocation) - 1.0) > 1e-9:
                 raise DataError(f"{spec.name}: allocation must sum to 1")
         for g in self.generalists:
-            if g.volume < 1.0:
-                raise DataError(f"{g.name}: volume must be >= 1")
-            if g.concentration <= 0:
-                raise DataError(f"{g.name}: concentration must be positive")
-        lo, hi = self.evenness_range
-        if not 0 < lo <= hi:
-            raise DataError("evenness_range must be positive and ordered")
+            if not (_is_finite(g.volume) and g.volume >= 1.0):
+                raise DataError(f"{g.name}: volume must be a finite number >= 1, not {g.volume!r}")
+            if not (_is_finite(g.concentration) and g.concentration > 0):
+                raise DataError(f"{g.name}: concentration must be a finite positive number")
+        seen: set[str] = set()
+        for name in self.journal_names():
+            key = canonical_name(name) if isinstance(name, str) else ""
+            if not key or key in seen:
+                raise DataError(
+                    f"name {name!r} must be a nonempty string no other journal has "
+                    "(names are compared trimmed and case-folded)"
+                )
+            seen.add(key)
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,6 +131,14 @@ class SyntheticSpec:
             "self_citation_mean": self.self_citation_mean,
             "evenness_range": list(self.evenness_range),
         }
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def uniform_spec(
@@ -154,26 +189,18 @@ def generate(spec: SyntheticSpec) -> SyntheticCorpus:
     rng = np.random.default_rng(spec.seed)
     k = len(spec.cluster_sizes)
 
-    names: list[str] = []
-    cluster_of: list[int] = []
+    names = spec.journal_names()
+    n = len(names)
+    cluster_of_arr = np.full(n, -1)
     cluster_members: list[np.ndarray] = []
     next_id = 0
     for c, size in enumerate(spec.cluster_sizes):
         members = np.arange(next_id, next_id + size)
         cluster_members.append(members)
-        names.extend(f"C{c:02d}_J{j:03d}" for j in range(size))
-        cluster_of.extend([c] * size)
+        cluster_of_arr[members] = c
         next_id += size
     bridge_ids = list(range(next_id, next_id + len(spec.bridges)))
-    names.extend(b.name for b in spec.bridges)
-    cluster_of.extend([-1] * len(spec.bridges))
-    next_id += len(spec.bridges)
-    generalist_ids = list(range(next_id, next_id + len(spec.generalists)))
-    names.extend(g.name for g in spec.generalists)
-    cluster_of.extend([-1] * len(spec.generalists))
-    next_id += len(spec.generalists)
-    n = next_id
-    cluster_of_arr = np.asarray(cluster_of)
+    generalist_ids = list(range(next_id + len(spec.bridges), n))
 
     lo, hi = spec.evenness_range
     evenness = rng.uniform(lo, hi, size=n)

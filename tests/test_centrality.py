@@ -107,8 +107,9 @@ class TestDeterminismAndJobs:
         b = betweenness(graph)
         assert np.array_equal(a, b)
 
-    # 5 batches: workers take interleaved shares of 3 and 2, or of 2, 2 and 1
-    @pytest.mark.parametrize("jobs", [2, 3])
+    # 5 batches: workers take interleaved shares of 3 and 2, or of 2, 2 and 1;
+    # 8 jobs are clipped to 5 workers of one batch each
+    @pytest.mark.parametrize("jobs", [2, 3, 8])
     @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
     @pytest.mark.parametrize("p, dense", [(0.05, False), (0.2, True)], ids=["sparse", "dense"])
     def test_jobs_do_not_change_results(self, p, dense, directed, jobs):
@@ -117,8 +118,24 @@ class TestDeterminismAndJobs:
         graph = graph_from_dense(adj, directed=directed)
         assert runs_dense(graph) == dense
         sequential = betweenness(graph, jobs=1, batch_size=32)
-        parallel = betweenness(graph, jobs=jobs, batch_size=32)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose a shared write
+        try:
+            parallel = betweenness(graph, jobs=jobs, batch_size=32)
+        finally:
+            sys.setswitchinterval(interval)
         assert np.array_equal(sequential, parallel)
+
+    def test_jobs_need_no_fork(self, monkeypatch):
+        def no_fork():
+            raise OSError("fork is not available")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        rng = np.random.default_rng(24)
+        graph = graph_from_dense(rng.random((150, 150)) < 0.05, directed=True)
+        assert not runs_dense(graph)
+        sequential = betweenness(graph, jobs=1, batch_size=32)
+        assert np.array_equal(sequential, betweenness(graph, jobs=2, batch_size=32))
 
     def test_batch_size_does_not_change_results_beyond_tolerance(self):
         rng = np.random.default_rng(25)

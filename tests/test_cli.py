@@ -453,6 +453,37 @@ class TestSynthCommand:
         code = run(["synth", "--clusters", "0,5", "--outdir", tmp_path / "x"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args, spec, field",
+        [
+            pytest.param(["--clusters", "5,5", "--seed", "-1"], None, "seed", id="seed-flag"),
+            pytest.param([], {"seed": -2}, "seed", id="seed-spec"),
+            pytest.param([], {"cluster_sizes": [1.5, 3]}, "cluster_sizes", id="float-size"),
+            pytest.param([], {"evenness_range": [1]}, "evenness_range", id="evenness-one"),
+            pytest.param([], {"count_mean": -1}, "count_mean", id="count-mean"),
+            pytest.param(["--clusters", "5,5", "--generalists", "1",
+                          "--generalist-volume", "nan"], None, "volume", id="volume-nan"),
+            pytest.param(["--clusters", "5,5", "--generalist-volume", "inf"], None, "volume",
+                         id="volume-inf"),
+            pytest.param([], {"generalists": [{"name": "G", "allocation": [0.5, 0.5],
+                                               "volume": float("inf")}]},
+                         "volume", id="volume-spec"),
+            pytest.param([], {"bridges": [{"name": "B", "allocation": [0.5, 0.5]},
+                                          {"name": "B", "allocation": [0.5, 0.5]}]},
+                         "name", id="bridge-twice"),
+            pytest.param([], {"bridges": [{"name": " c00_j000", "allocation": [0.5, 0.5]}]},
+                         "name", id="bridge-is-member"),
+        ],
+    )
+    def test_invalid_spec_is_data_error_naming_field(self, tmp_path, capsys, args, spec, field):
+        if spec is not None:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"cluster_sizes": [5, 5], **spec}), encoding="utf-8")
+            args = ["--spec-json", path]
+        assert run(["synth", *args, "--outdir", tmp_path / "x"]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestExportMatrix:
     def test_cosine_export(self, edges_path, tmp_path):
