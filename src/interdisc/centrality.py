@@ -15,15 +15,17 @@ as co-occurrence graphs often are, it is an n x n float64 array and each
 product is a multithreaded BLAS GEMM run in the calling thread; below it is
 CSR and its batches may be spread over worker threads that share it, each
 taking one interleaved share (every `jobs`-th batch).  The sparse products
-and the elementwise steps release the GIL.  Both formats run
-the same recurrences.  The forward phase is exact either way (path counts are
-integers below 2**53); the backward sums may differ in the last bit between
-formats and between BLAS thread counts.
+and the elementwise steps release the GIL.  When one share fails, or the
+calling thread is interrupted, the other shares stop before their next
+batch.  Both formats run the same recurrences.  The forward phase is exact
+either way (path counts are integers below 2**53); the backward sums may
+differ in the last bit between formats and between BLAS thread counts.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,12 +47,14 @@ def _dependencies(
     adj: sp.csr_matrix | np.ndarray,
     adj_t: sp.csr_matrix | np.ndarray,
     batches: list[np.ndarray],
+    stop: threading.Event | None = None,
 ) -> list[np.ndarray]:
     """Sum of Brandes dependency vectors for each batch of sources.
 
     `adj[v, w]` holds arc v -> w; `adj_t` is its transpose.  Both are float64,
     either CSR or dense.  Returns, per batch, the per-node dependency totals
-    with each source's own entry zeroed.
+    with each source's own entry zeroed.  Once `stop` is set, returns before
+    the next batch with the totals so far, which the caller discards.
 
     The work arrays are allocated once, flat, for the largest batch, and each
     batch views a C-contiguous (n, b) prefix of them, so no batch or level
@@ -73,6 +77,8 @@ def _dependencies(
 
     totals = []
     for sources in batches:
+        if stop is not None and stop.is_set():
+            break
         b = len(sources)
         cols = np.arange(b)
         sigma, delta, coef, unvisited = (
@@ -155,10 +161,19 @@ def betweenness(
     if workers == 1:
         partials = _dependencies(adj, adj_t, batches)
     else:  # one interleaved share per thread, put back in batch order
+        stop = threading.Event()
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            shares = list(
-                pool.map(lambda w: _dependencies(adj, adj_t, batches[w::workers]), range(workers))
-            )
+            futures = [
+                pool.submit(_dependencies, adj, adj_t, batches[w::workers], stop)
+                for w in range(workers)
+            ]
+            try:
+                wait(futures, return_when=FIRST_EXCEPTION)
+            finally:
+                # a no-op once every share is done; otherwise a share failed, or
+                # this thread was interrupted, and the rest stop at their next batch
+                stop.set()
+            shares = [future.result() for future in futures]
         partials = [shares[i % workers][i // workers] for i in range(len(batches))]
 
     for part in partials:  # fixed reduction order keeps results deterministic

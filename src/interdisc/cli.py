@@ -5,6 +5,8 @@ export-matrix.  `indicators` and `subset` compute every indicator; `rank`,
 `correlate` and `factor` compute only the columns they report.  Options may
 come from a JSON config file (--config); command line flags override the
 file.  Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
+Every failure is an `InterdiscError`, printed as one line on stderr; a file
+that cannot be read or written is a data error that names it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import SubsetMode
-from .errors import DataError, InterdiscError, NumericalError, UsageError
+from .errors import DataError, InterdiscError, UsageError, file_errors
 from .netspace import cooccurrence, cosine_matrix, distance_matrix, export_matrix_market
 from .pipeline import (
     RunConfig,
@@ -89,7 +91,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int,
                    help="worker threads for betweenness on sparse graphs "
                         "(dense graphs use the BLAS threads)")
-    p.add_argument("--seed", type=int, help="random seed (synthetic data only)")
 
 
 _LIST_FLAGS = ("directions", "metrics")  # comma-separated on the command line
@@ -108,12 +109,12 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 def _read_json(path: str, what: str):
+    with file_errors(path):
+        text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:  # missing, a directory, or unreadable
-        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise DataError(f"{what} is not valid JSON: {exc}") from None
+        return json.loads(text)
+    except ValueError as exc:
+        raise DataError(f"{path}: {what} is not valid JSON: {exc}") from None
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -130,12 +131,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             data[name] = _split(value)
-    config = RunConfig.from_dict(data)
-    if math.isnan(config.cosine_threshold):
-        raise UsageError("--cosine-threshold must be a number, not nan")
-    if config.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, not {config.jobs}")
-    return config
+    return RunConfig.from_dict(data)
 
 
 def _outdir(path: str) -> Path:
@@ -296,7 +292,7 @@ def _synth_spec_from_args(args) -> SyntheticSpec:
         n_bridges=args.bridges,
         n_generalists=args.generalists,
         generalist_volume=args.generalist_volume,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
 
 
@@ -381,7 +377,7 @@ def build_parser() -> Parser:
     p.add_argument("--bridges", type=int, default=0)
     p.add_argument("--generalists", type=int, default=0)
     p.add_argument("--generalist-volume", type=float, default=12.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir")
     p.add_argument("--spec-json", help="full SyntheticSpec as JSON (overrides flags)")
     p.set_defaults(func=cmd_synth)
@@ -406,18 +402,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
     except InterdiscError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        kind = {1: "usage", 3: "numerical"}.get(exc.exit_code, "data")
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -3,13 +3,14 @@
 The citation matrix follows the convention cell (i, j) = citations from
 articles in journal j to articles in journal i, so row i is journal i's
 "cited" vector and column j is journal j's "citing" vector.  Diagonal cells
-are journal self-citations and are kept.
+are journal self-citations and are kept.  The loaders open their files
+through `errors.file_errors`: a file that cannot be read, or whose text is
+not UTF-8, is a data error that names it.
 """
 
 from __future__ import annotations
 
 import csv
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -24,6 +25,7 @@ from .errors import (
     MetadataConflictError,
     ParseError,
     UnknownJournalError,
+    file_errors,
 )
 
 
@@ -159,15 +161,6 @@ class CitationMatrix:
 # Ingestion
 
 
-@contextmanager
-def _utf8_text(path: str | Path):
-    """Report a file that does not decode as UTF-8 as a `ParseError`."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
 def _read_count(text: str, line: int) -> int:
     try:
         value = int(text)
@@ -192,7 +185,7 @@ def load_edge_list(
         raise ParseError("min_count must be a positive integer")
     registry = JournalRegistry()
     cells: dict[tuple[int, int], int] = {}
-    with _utf8_text(path), open(path, newline="", encoding="utf-8-sig") as fh:
+    with file_errors(path), open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -233,11 +226,8 @@ def load_matrix_market(
     Matrix Market format is rejected before scipy parses it: a truncated
     `array` file can crash scipy's reader.
     """
-    try:
-        with open(path, "rb") as fh:
-            banner = fh.readline(1024).decode("latin-1").casefold().split()
-    except OSError as exc:
-        raise ParseError(f"{path}: not a readable Matrix Market file ({exc})") from exc
+    with file_errors(path), open(path, "rb") as fh:
+        banner = fh.readline(1024).decode("latin-1").casefold().split()
     if banner[:3] != ["%%matrixmarket", "matrix", "coordinate"]:
         raise ParseError(f"{path}: expected a '%%MatrixMarket matrix coordinate' banner")
     try:
@@ -263,7 +253,7 @@ def load_matrix_market(
 
     registry = JournalRegistry()
     if names_path is not None:
-        with _utf8_text(names_path):
+        with file_errors(names_path):
             text = Path(names_path).read_text(encoding="utf-8-sig")
         names = [line.strip() for line in text.splitlines() if line.strip()]
         if len(names) != rows:
@@ -306,7 +296,7 @@ def load_metadata(path: str | Path, registry: JournalRegistry) -> int:
     """
     unmatched = 0
     seen: set[str] = set()
-    with _utf8_text(path), open(path, newline="", encoding="utf-8") as fh:
+    with file_errors(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -1,8 +1,12 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the guard for files.
 
 Exit-code mapping used by the CLI: usage errors exit 1, data errors exit 2,
-numerical errors exit 3.
+numerical errors exit 3.  Every file the package opens, reads or writes goes
+through `file_errors`, so a file that cannot be used is a data error that
+names it.
 """
+
+from contextlib import contextmanager
 
 
 class InterdiscError(Exception):
@@ -73,3 +77,15 @@ class RankError(NumericalError):
 
 class CountOverflowError(NumericalError):
     """Integer products would exceed the exact range of the count type."""
+
+
+@contextmanager
+def file_errors(path):
+    """Turn a failed open, read or write of `path` into a `DataError`, and
+    text that does not decode as UTF-8 into a `ParseError`; both name `path`."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:  # missing, a directory, unreadable, disk full
+        raise DataError(f"{path}: {exc.strerror or exc}") from None

@@ -24,7 +24,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .corpus import CitationMatrix, Direction
-from .errors import CountOverflowError, DataError, EmptyCorpusError, UndefinedIndicatorError
+from .errors import CountOverflowError, EmptyCorpusError, UndefinedIndicatorError, file_errors
 
 
 # A squared distance formed as |a|^2 + |b|^2 - 2 a.b keeps few correct digits
@@ -201,14 +201,10 @@ def export_matrix_market(values: np.ndarray | sp.spmatrix, path: str | Path) -> 
     A dense array or a sparse matrix is written as it is, without
     densifying; an integer dtype gets the ``integer`` field, any other the
     ``real`` field.  NaN (undefined) cells are written as-is so the gaps
-    stay visible to external tools.  A path that cannot be opened for
-    writing is a data error.
+    stay visible to external tools.  A path that cannot be written is a data
+    error.
     """
     field = "integer" if np.issubdtype(values.dtype, np.integer) else "real"
-    try:
-        # mmwrite given a path name ignores a failed open and writes nothing
-        fh = open(path, "wb")
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc.strerror}") from None
-    with fh:
+    # mmwrite given a path name ignores a failed open and writes nothing
+    with file_errors(path), open(path, "wb") as fh:
         scipy.io.mmwrite(fh, sp.coo_matrix(values), field=field, symmetry="symmetric")

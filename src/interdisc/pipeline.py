@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -28,7 +29,7 @@ from .corpus import (
     subset,
 )
 from .diversity import diversity_all
-from .errors import DataError, EmptyCorpusError, UsageError
+from .errors import DataError, EmptyCorpusError, UsageError, file_errors
 from .netspace import binarize, binarize_directed, cooccurrence_support, cosine_matrix
 from .stats import (
     CorrelationMatrix,
@@ -97,7 +98,6 @@ class RunConfig:
     triangle_sum: bool = False
     exclude_self_citations_from_p: bool = False
     factors_k: int = 3
-    seed: int = 0
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -110,6 +110,11 @@ class RunConfig:
         for metric in self.metrics:
             if metric not in {i.family for i in INDICATORS if i.diversity}:
                 raise UsageError(f"unknown metric: {metric!r}")
+        for name in ("min_count", "factors_k", "jobs"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"{name} must be at least 1, not {getattr(self, name)}")
+        if math.isnan(self.cosine_threshold):
+            raise UsageError("cosine_threshold must be a number, not nan")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -142,7 +147,7 @@ class RunConfig:
 
 def file_digest(path: str | Path) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
+    with file_errors(path), open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
@@ -257,23 +262,11 @@ def compute_indicator_table(
 
 
 def _attach_metadata_columns(table: IndicatorTable, registry: JournalRegistry) -> None:
-    ids = table.journal_ids
-    entries = [registry.entries[j] for j in ids]
-    if any(e.total_cites is not None for e in entries):
-        table.add_column(
-            "total_cites",
-            [np.nan if e.total_cites is None else float(e.total_cites) for e in entries],
-        )
-    if any(e.impact_factor is not None for e in entries):
-        table.add_column(
-            "impact_factor",
-            [np.nan if e.impact_factor is None else e.impact_factor for e in entries],
-        )
-    if any(e.immediacy is not None for e in entries):
-        table.add_column(
-            "immediacy",
-            [np.nan if e.immediacy is None else e.immediacy for e in entries],
-        )
+    entries = [registry.entries[j] for j in table.journal_ids]
+    for name in ("total_cites", "impact_factor", "immediacy"):
+        values = [getattr(e, name) for e in entries]
+        if any(v is not None for v in values):
+            table.add_column(name, [np.nan if v is None else float(v) for v in values])
 
 
 def scope_table(
@@ -303,11 +296,27 @@ def format_value(x: float) -> str:
     return str(x)
 
 
-def provenance_lines(config: RunConfig, digests: dict[str, str]) -> list[str]:
-    return [
+def _write_text(
+    path: str | Path, config: RunConfig, digests: dict[str, str], lines: list[str]
+) -> None:
+    """Write the provenance header, then `lines`, one per line."""
+    header = [
         "# config: " + json.dumps(config.to_dict(), sort_keys=True),
         "# inputs: " + json.dumps(digests, sort_keys=True),
     ]
+    with file_errors(path):
+        Path(path).write_text("\n".join(header + lines) + "\n", encoding="utf-8")
+
+
+def _write_json(
+    path: str | Path, config: RunConfig, digests: dict[str, str], payload: dict
+) -> None:
+    """Write `payload` with the run's config and input digests beside it."""
+    envelope = {"config": config.to_dict(), "inputs": digests, **payload}
+    with file_errors(path):
+        Path(path).write_text(
+            json.dumps(envelope, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
 
 
 def write_indicator_csv(
@@ -320,13 +329,11 @@ def write_indicator_csv(
     suffix = f"_{direction}"
     # a restricted --metrics or --directions run computes fewer columns
     columns = [i.name + suffix for i in INDICATORS if i.name + suffix in table.columns]
-    lines = provenance_lines(config, digests)
-    lines.append(
+    lines = [
         "# note: betweenness_citations is computed on the directed citation "
-        "graph and is identical for the cited and citing directions"
-    )
-    header = ["journal_id", "name", "support", "degenerate"] + columns
-    lines.append(",".join(header))
+        "graph and is identical for the cited and citing directions",
+        ",".join(["journal_id", "name", "support", "degenerate"] + columns),
+    ]
     support = table.column("support" + suffix)
     degenerate = table.flags["degenerate" + suffix]
     for i, jid in enumerate(table.journal_ids):
@@ -338,7 +345,7 @@ def write_indicator_csv(
         ]
         row += [format_value(float(table.column(c)[i])) for c in columns]
         lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, config, digests, lines)
 
 
 def _csv_quote(text: str) -> str:
@@ -354,8 +361,6 @@ def write_combined_json(
     digests: dict[str, str],
 ) -> None:
     payload = {
-        "config": config.to_dict(),
-        "inputs": digests,
         "journals": [
             {"id": jid, "name": table.names[i]} for i, jid in enumerate(table.journal_ids)
         ],
@@ -365,9 +370,7 @@ def write_combined_json(
         },
         "flags": {name: [bool(v) for v in col] for name, col in table.flags.items()},
     }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(path, config, digests, payload)
 
 
 def _direction_of(column: str) -> str | None:
@@ -477,9 +480,10 @@ def write_ranking_csv(
     config: RunConfig,
     digests: dict[str, str],
 ) -> None:
-    lines = provenance_lines(config, digests)
-    lines.append(f"# indicator: {indicator} (order: {_indicator_of(indicator).order})")
-    lines.append("rank,journal_id,name,value,appended")
+    lines = [
+        f"# indicator: {indicator} (order: {_indicator_of(indicator).order})",
+        "rank,journal_id,name,value,appended",
+    ]
     for row in rows:
         lines.append(
             ",".join(
@@ -492,7 +496,7 @@ def write_ranking_csv(
                 ]
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, config, digests, lines)
 
 
 def write_correlations(
@@ -502,10 +506,11 @@ def write_correlations(
     config: RunConfig,
     digests: dict[str, str],
 ) -> None:
-    lines = provenance_lines(config, digests)
-    lines.append("# spearman rho; stars: ** p<0.01, * p<0.05 (two-tailed)")
     k = len(corr.columns)
-    lines.append(",".join([""] + corr.columns))
+    lines = [
+        "# spearman rho; stars: ** p<0.01, * p<0.05 (two-tailed)",
+        ",".join([""] + corr.columns),
+    ]
     for i in range(k):
         cells = [corr.columns[i]]
         for j in range(k):
@@ -529,19 +534,14 @@ def write_correlations(
         lines.append(
             ",".join([corr.columns[i]] + [str(int(corr.n[i, j])) for j in range(k)])
         )
-    Path(csv_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+    _write_text(csv_path, config, digests, lines)
     payload = {
-        "config": config.to_dict(),
-        "inputs": digests,
         "columns": corr.columns,
         "rho": corr.rho.tolist(),
         "p_values": corr.p_values.tolist(),
         "n": corr.n.tolist(),
     }
-    Path(json_path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(json_path, config, digests, payload)
 
 
 def write_factors(
@@ -552,8 +552,7 @@ def write_factors(
     config: RunConfig,
     digests: dict[str, str],
 ) -> None:
-    lines = provenance_lines(config, digests)
-    lines.append("# rotated component matrix (principal components, varimax with")
+    lines = ["# rotated component matrix (principal components, varimax with"]
     if solution.converged:
         lines.append(
             f"# kaiser normalization); rotation converged in {solution.iterations} iterations"
@@ -583,11 +582,8 @@ def write_factors(
     lines.append(f"# variance explained per rotated factor (%): {per_factor}")
     lines.append(f"# cumulative variance explained (%): {cumulative}")
     lines.append(f"# observations (listwise complete): {pca_result.n_observations}")
-    Path(csv_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+    _write_text(csv_path, config, digests, lines)
     payload = {
-        "config": config.to_dict(),
-        "inputs": digests,
         "columns": pca_result.columns,
         "k": k,
         "eigenvalues": pca_result.eigenvalues.tolist(),
@@ -601,6 +597,4 @@ def write_factors(
         "converged": solution.converged,
         "n_observations": pca_result.n_observations,
     }
-    Path(json_path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(json_path, config, digests, payload)

@@ -21,13 +21,13 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import canonical_name
-from .errors import DataError
+from .errors import DataError, file_errors
 
 PRNG_IDENTITY = "numpy.random.Generator(PCG64)"
 
@@ -108,29 +108,6 @@ class SyntheticSpec:
                     "(names are compared trimmed and case-folded)"
                 )
             seen.add(key)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "cluster_sizes": list(self.cluster_sizes),
-            "within_rate": self.within_rate,
-            "leakage_rate": self.leakage_rate,
-            "bridges": [
-                {"name": b.name, "allocation": list(b.allocation)} for b in self.bridges
-            ],
-            "generalists": [
-                {
-                    "name": g.name,
-                    "allocation": list(g.allocation),
-                    "volume": g.volume,
-                    "concentration": g.concentration,
-                }
-                for g in self.generalists
-            ],
-            "seed": self.seed,
-            "count_mean": self.count_mean,
-            "self_citation_mean": self.self_citation_mean,
-            "evenness_range": list(self.evenness_range),
-        }
 
 
 def _is_int(value) -> bool:
@@ -327,7 +304,7 @@ def write_corpus(
 ) -> None:
     """Write the edge-list CSV and the ground-truth JSON."""
     order = np.lexsort((corpus.cited, corpus.citing))
-    with open(edges_path, "w", newline="", encoding="utf-8") as fh:
+    with file_errors(edges_path), open(edges_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["citing", "cited", "count"])
         for idx in order:
@@ -344,7 +321,7 @@ def write_corpus(
             clusters.setdefault(f"cluster_{c}", []).append(corpus.names[jid])
     truth = {
         "prng": PRNG_IDENTITY,
-        "spec": corpus.spec.to_json_dict(),
+        "spec": asdict(corpus.spec),
         "journals": len(corpus.names),
         "nonzero_cells": int(len(np.unique(corpus.cited * len(corpus.names) + corpus.citing))),
         "clusters": clusters,
@@ -355,6 +332,7 @@ def write_corpus(
             {"id": gid, "name": corpus.names[gid]} for gid in corpus.generalist_ids
         ],
     }
-    Path(truth_path).write_text(
-        json.dumps(truth, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with file_errors(truth_path):
+        Path(truth_path).write_text(
+            json.dumps(truth, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )

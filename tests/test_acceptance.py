@@ -331,14 +331,10 @@ def test_criterion_11_determinism(tmp_path):
     # scale test; it reuses criterion 8's pipeline end to end via the CLI
     _, edges, _ = _planted_corpus(tmp_path)
     out = tmp_path / "run"
-    argv = [
-        "indicators", "--edges", str(edges), "--outdir", str(out), "--seed", "42",
-    ]
+    argv = ["indicators", "--edges", str(edges), "--outdir", str(out)]
     assert cli_main(argv) == 0
     names = ["indicators_cited.csv", "indicators_citing.csv", "indicators.json"]
-    rank_argv = [
-        "rank", "entropy", "--edges", str(edges), "--outdir", str(out), "--seed", "42",
-    ]
+    rank_argv = ["rank", "entropy", "--edges", str(edges), "--outdir", str(out)]
     assert cli_main(rank_argv) == 0
     names.append("ranking_entropy.csv")
     snapshot = {name: (out / name).read_bytes() for name in names}

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 
 from conftest import indicator_table, random_sparse_counts
+from interdisc import centrality
 from interdisc.centrality import (
     DENSE_DENSITY,
     _dependencies,
@@ -136,6 +137,44 @@ class TestDeterminismAndJobs:
         assert not runs_dense(graph)
         sequential = betweenness(graph, jobs=1, batch_size=32)
         assert np.array_equal(sequential, betweenness(graph, jobs=2, batch_size=32))
+
+    @pytest.mark.parametrize("failure", ["share", "caller"])
+    def test_failure_stops_the_other_share_before_its_next_batch(self, monkeypatch, failure):
+        rng = np.random.default_rng(24)
+        graph = graph_from_dense(rng.random((150, 150)) < 0.05, directed=True)
+        assert not runs_dense(graph)
+        checks = []  # what share 0 saw at each per-batch check of the stop flag
+
+        class HeldAtFirstBatch:
+            """Share 0's stop flag; its first check waits for the flag to be set."""
+
+            def __init__(self, stop):
+                self.stop = stop
+
+            def is_set(self):
+                if not checks:
+                    self.stop.wait(timeout=30)
+                checks.append(self.stop.is_set())
+                return checks[-1]
+
+        dependencies = centrality._dependencies
+
+        def share(adj, adj_t, batches, stop):
+            if batches[0][0] == 0:
+                return dependencies(adj, adj_t, batches, HeldAtFirstBatch(stop))
+            if failure == "share":
+                raise RuntimeError("share 1 failed")
+            return dependencies(adj, adj_t, batches, stop)
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(centrality, "_dependencies", share)
+        if failure == "caller":
+            monkeypatch.setattr(centrality, "wait", interrupted)
+        with pytest.raises(RuntimeError if failure == "share" else KeyboardInterrupt):
+            betweenness(graph, jobs=2, batch_size=1)
+        assert checks == [True]
 
     def test_batch_size_does_not_change_results_beyond_tolerance(self):
         rng = np.random.default_rng(25)

@@ -10,6 +10,7 @@ import pytest
 from interdisc import centrality, pipeline
 from interdisc.cli import DEFAULT_CORRELATE_COLUMNS, DEFAULT_FACTOR_COLUMNS, main
 from interdisc.corpus import load_edge_list
+from interdisc.errors import UsageError
 from interdisc.pipeline import INDICATORS, RunConfig, compute_indicator_table, file_digest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -757,6 +758,37 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "expected a '%%MatrixMarket matrix coordinate' banner" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv,directory",
+        [
+            pytest.param(["indicators", "--edges", "{dir}"], "d", id="edges"),
+            pytest.param(["indicators", "--edges", "{edges}", "--metadata", "{dir}"], "d",
+                         id="metadata"),
+            pytest.param(["indicators", "--matrix-market", "{mm}", "--names", "{dir}"], "d",
+                         id="names"),
+            pytest.param(["indicators", "--edges", "{edges}"], "o/indicators.json",
+                         id="indicators-report"),
+            pytest.param(["rank", "entropy", "--edges", "{edges}"], "o/ranking_entropy.csv",
+                         id="ranking-report"),
+            pytest.param(["synth", "--clusters", "4,4"], "o/edges.csv", id="synth-edges"),
+        ],
+    )
+    def test_directory_in_place_of_a_file_is_2_in_a_subprocess(
+        self, edges_path, tmp_path, argv, directory
+    ):
+        mm = tmp_path / "m.mtx"
+        mm.write_text("%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2 3\n")
+        path = tmp_path / directory
+        path.mkdir(parents=True)
+        argv = [part.format(dir=path, edges=edges_path, mm=mm) for part in argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "interdisc.cli", *argv, "--outdir", str(tmp_path / "o")],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"data error: {path}: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_numerical_error_is_3(self, synth_outdir, tmp_path):
         # k larger than the column count triggers a rank error
         code = run(
@@ -789,13 +821,26 @@ class TestOptionValidation:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_is_usage_error(self, edges_path, tmp_path, jobs):
-        code = run(
-            ["indicators", "--edges", edges_path, "--outdir", tmp_path / "o",
-             "--jobs", jobs]
-        )
-        assert code == 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["indicators", "--jobs", "0"], id="jobs-0"),
+            pytest.param(["indicators", "--jobs", "-3"], id="jobs-minus-3"),
+            pytest.param(["factor", "-k", "0"], id="factors-0"),
+            pytest.param(["indicators", "--min-count", "0"], id="min-count-0"),
+        ],
+    )
+    def test_count_below_one_is_usage_error(self, edges_path, tmp_path, argv):
+        assert run([*argv, "--edges", edges_path, "--outdir", tmp_path / "o"]) == 1
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("jobs", 0), ("factors_k", 0), ("min_count", 0), ("cosine_threshold", float("nan"))],
+    )
+    def test_library_config_rejects_bad_value(self, field, value):
+        # the checks live in RunConfig, so library callers get them as well as the CLI
+        with pytest.raises(UsageError, match=field):
+            RunConfig(**{field: value})
 
     def test_negative_top_is_usage_error(self, edges_path, tmp_path):
         argv = ["rank", "entropy", "--edges", edges_path, "--outdir", tmp_path / "o"]
@@ -876,7 +921,10 @@ class TestTracedRun:
     one is gone; run it in a subprocess so the rebinding stays out of this
     session."""
 
-    @pytest.mark.parametrize("command", [["indicators"], ["rank", "entropy"]])
+    @pytest.mark.parametrize(
+        "command",
+        [["indicators"], ["rank", "entropy"], ["export-matrix", "--kind", "cosine", "--out", "c.mtx"]],
+    )
     def test_traced_command_runs(self, edges4_path, tmp_path, command):
         spans = tmp_path / "spans.json"
         proc = subprocess.run(
