@@ -28,6 +28,7 @@ from .pipeline import (
     compute_indicator_table,
     load_corpus,
     ranking,
+    report_set,
     scope_table,
     write_combined_json,
     write_correlations,
@@ -80,7 +81,8 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--outdir", help="output directory (default: out)")
     p.add_argument("--directions", help="comma-separated subset of cited,citing")
     p.add_argument("--metrics", help="comma-separated subset of one_minus_cosine,relative_euclidean")
-    p.add_argument("--cosine-threshold", type=float, help="binarize cosine strictly above this")
+    p.add_argument("--cosine-threshold", type=float,
+                   help="binarize cosine strictly above this, in [0, 1) (default 0)")
     p.add_argument("--gini-include-zeros", action="store_true", default=None,
                    help="include zero cells in the Gini population (sensitivity)")
     p.add_argument("--triangle-sum", action="store_true", default=None,
@@ -145,9 +147,12 @@ def _outdir(path: str) -> Path:
 
 def _write_indicator_reports(table, config: RunConfig, digests: dict[str, str]) -> Path:
     out = _outdir(config.outdir)
-    for direction in dict.fromkeys(config.directions):
-        write_indicator_csv(table, direction, out / f"indicators_{direction}.csv", config, digests)
-    write_combined_json(table, out / "indicators.json", config, digests)
+    directions = list(dict.fromkeys(config.directions))
+    paths = [out / f"indicators_{direction}.csv" for direction in directions]
+    with report_set(*paths, out / "indicators.json") as temps:
+        for direction, temp in zip(directions, temps):
+            write_indicator_csv(table, direction, temp, config, digests)
+        write_combined_json(table, temps[-1], config, digests)
     return out
 
 

@@ -7,11 +7,12 @@ the chosen axis is empty have cosine 0 against everything (including
 themselves) and *undefined* distances, which downstream consumers must
 exclude rather than treat as maximal.
 
-Cosine and distance matrices are plain n x n float64 arrays; co-occurrence
-counts are an int64 CSR matrix and are never densified.  The indicator
-pipeline builds a cosine matrix only for a nonzero cosine threshold:
-betweenness otherwise binarizes the co-occurrence support, and diversity
-works from sparse Gram matrices.
+Cosine similarities are a float64 CSR matrix and co-occurrence counts an
+int64 CSR matrix; neither is ever densified.  Only distance matrices are
+plain n x n float64 arrays, since a distance is nonzero wherever the
+vectors differ.  The indicator pipeline builds a cosine matrix only for a
+nonzero cosine threshold: betweenness otherwise binarizes the
+co-occurrence support, and diversity works from sparse Gram matrices.
 """
 
 from __future__ import annotations
@@ -89,18 +90,24 @@ def _require_nonempty(matrix: CitationMatrix) -> None:
         raise EmptyCorpusError("citation matrix has no cells")
 
 
-def cosine_matrix(matrix: CitationMatrix, axis: Direction | str) -> np.ndarray:
-    """Pairwise cosine similarity between all vectors of one axis, n x n.
+def cosine_matrix(matrix: CitationMatrix, axis: Direction | str) -> sp.csr_matrix:
+    """Pairwise cosine similarity between all vectors of one axis, as an
+    n x n float64 CSR matrix with sorted indices and no stored zeros.
 
-    The diagonal is natural: 1 for journals with a nonzero vector, 0 for
-    empty ones (which are orthogonal to everything, themselves included).
+    Values lie in [0, 1].  The diagonal is natural: exactly 1 for journals
+    with a nonzero vector, absent (0) for empty ones, which are orthogonal
+    to everything, themselves included.
     """
     _require_nonempty(matrix)
     unit, norms = _l2_normalize_rows(matrix.axis_matrix(axis))
-    gram = np.asarray(unit.dot(unit.T).todense())
-    np.clip(gram, 0.0, 1.0, out=gram)
-    np.fill_diagonal(gram, np.where(norms > 0, 1.0, 0.0))
-    return gram
+    cos = unit.dot(unit.T).tocsr()
+    np.clip(cos.data, 0.0, 1.0, out=cos.data)
+    cos.eliminate_zeros()
+    cos.sort_indices()
+    # every nonzero vector stores its own product, so this writes in place
+    present = np.flatnonzero(norms > 0)
+    cos[present, present] = 1.0
+    return cos
 
 
 def cooccurrence(matrix: CitationMatrix, axis: Direction | str) -> sp.csr_matrix:
@@ -175,7 +182,8 @@ def distance_matrix(
     _require_nonempty(matrix)
     vectors = matrix.axis_matrix(axis)
     if metric == "one_minus_cosine":
-        dense = 1.0 - cosine_matrix(matrix, axis)
+        dense = cosine_matrix(matrix, axis).toarray()
+        np.subtract(1.0, dense, out=dense)
     elif metric == "relative_euclidean":
         prob, _ = _l1_normalize_rows(vectors)
         sq_norms = np.asarray(prob.multiply(prob).sum(axis=1)).ravel()

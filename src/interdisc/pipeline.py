@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import warnings
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -113,8 +114,9 @@ class RunConfig:
         for name in ("min_count", "factors_k", "jobs"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be at least 1, not {getattr(self, name)}")
-        if math.isnan(self.cosine_threshold):
-            raise UsageError("cosine_threshold must be a number, not nan")
+        # below 0 every pair is linked, empty journals too; from 1 up no pair is
+        if not 0.0 <= self.cosine_threshold < 1.0:  # NaN fails here too
+            raise UsageError(f"cosine_threshold must be in [0, 1), not {self.cosine_threshold}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -294,6 +296,29 @@ def format_value(x: float) -> str:
     if isinstance(x, float):
         return f"{x:.9g}"
     return str(x)
+
+
+@contextmanager
+def report_set(*paths: str | Path) -> Iterator[list[Path]]:
+    """Temporary names beside `paths` for the block to write, renamed onto
+    `paths` only once the block has written them all, so a failure leaves
+    neither a fresh report beside a stale partner nor a temporary file.
+
+    A target that is a directory fails the set before any rename.
+    """
+    paths = [Path(path) for path in paths]
+    temps = [path.with_name(path.name + ".tmp") for path in paths]
+    try:
+        yield temps
+        for path in paths:
+            if path.is_dir():
+                raise DataError(f"{path}: Is a directory")
+        for temp, path in zip(temps, paths):
+            with file_errors(path):
+                temp.replace(path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
 
 
 def _write_text(
@@ -534,14 +559,15 @@ def write_correlations(
         lines.append(
             ",".join([corr.columns[i]] + [str(int(corr.n[i, j])) for j in range(k)])
         )
-    _write_text(csv_path, config, digests, lines)
     payload = {
         "columns": corr.columns,
         "rho": corr.rho.tolist(),
         "p_values": corr.p_values.tolist(),
         "n": corr.n.tolist(),
     }
-    _write_json(json_path, config, digests, payload)
+    with report_set(csv_path, json_path) as (csv_temp, json_temp):
+        _write_text(csv_temp, config, digests, lines)
+        _write_json(json_temp, config, digests, payload)
 
 
 def write_factors(
@@ -582,7 +608,6 @@ def write_factors(
     lines.append(f"# variance explained per rotated factor (%): {per_factor}")
     lines.append(f"# cumulative variance explained (%): {cumulative}")
     lines.append(f"# observations (listwise complete): {pca_result.n_observations}")
-    _write_text(csv_path, config, digests, lines)
     payload = {
         "columns": pca_result.columns,
         "k": k,
@@ -597,4 +622,6 @@ def write_factors(
         "converged": solution.converged,
         "n_observations": pca_result.n_observations,
     }
-    _write_json(json_path, config, digests, payload)
+    with report_set(csv_path, json_path) as (csv_temp, json_temp):
+        _write_text(csv_temp, config, digests, lines)
+        _write_json(json_temp, config, digests, payload)

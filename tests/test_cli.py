@@ -789,6 +789,36 @@ class TestExitCodes:
         assert f"data error: {path}: " in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv,directory,partners",
+        [
+            pytest.param(["indicators"], "indicators.json",
+                         ["indicators_cited.csv", "indicators_citing.csv"], id="indicators"),
+            pytest.param(["correlate"], "correlations.json", ["correlations.csv"],
+                         id="correlate"),
+            pytest.param(["factor", "-k", "2"], "factors.json", ["factors.csv"], id="factor"),
+        ],
+    )
+    def test_failed_report_set_writes_none_of_it(
+        self, synth_outdir, tmp_path, argv, directory, partners
+    ):
+        edges = synth_outdir / "edges.csv"
+        out = tmp_path / "o"
+        (out / directory).mkdir(parents=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "interdisc.cli", *argv, "--edges", str(edges),
+             "--outdir", str(out)],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"data error: {out / directory}: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert sorted(p.name for p in out.iterdir()) == [directory]
+        # the set is written whole once the directory is gone
+        (out / directory).rmdir()
+        assert run([*argv, "--edges", edges, "--outdir", out]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted([directory, *partners])
+
     def test_numerical_error_is_3(self, synth_outdir, tmp_path):
         # k larger than the column count triggers a rank error
         code = run(
@@ -835,7 +865,14 @@ class TestOptionValidation:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("jobs", 0), ("factors_k", 0), ("min_count", 0), ("cosine_threshold", float("nan"))],
+        [
+            ("jobs", 0),
+            ("factors_k", 0),
+            ("min_count", 0),
+            ("cosine_threshold", float("nan")),
+            pytest.param("cosine_threshold", -0.1, id="cosine_threshold-negative"),
+            pytest.param("cosine_threshold", 1.0, id="cosine_threshold-one"),
+        ],
     )
     def test_library_config_rejects_bad_value(self, field, value):
         # the checks live in RunConfig, so library callers get them as well as the CLI
@@ -895,6 +932,10 @@ class TestTypedErrors:
                          id="negative-bridges"),
             pytest.param(["synth", "--clusters", "4,4", "--generalists", "-2"], 1,
                          id="negative-generalists"),
+            pytest.param(["indicators", "--edges", "{edges}", "--cosine-threshold", "-0.1"], 1,
+                         id="cosine_threshold-negative"),
+            pytest.param(["indicators", "--edges", "{edges}", "--cosine-threshold", "1"], 1,
+                         id="cosine_threshold-one"),
         ],
     )
     def test_bad_value_is_typed_error(self, edges_path, tmp_path, argv, code):

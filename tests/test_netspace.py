@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,6 +16,7 @@ from interdisc.netspace import (
     distance_matrix,
     export_matrix_market,
     _l1_normalize_rows,
+    _l2_normalize_rows,
 )
 
 
@@ -42,7 +45,7 @@ class TestCosine:
 
     def test_zero_vector_journal(self):
         m = matrix_from_dense([[1, 1, 0], [0, 0, 0], [1, 0, 1]])
-        cos = cosine_matrix(m, Direction.CITED)
+        cos = cosine_matrix(m, Direction.CITED).toarray()
         assert cos[1, 1] == 0.0
         assert np.all(cos[1, :] == 0.0) and np.all(cos[:, 1] == 0.0)
 
@@ -51,7 +54,7 @@ class TestCosine:
         rows, cols, counts = random_sparse_counts(rng, 20)
         m = CitationMatrix(20, rows, cols, counts)
         for axis in (Direction.CITED, Direction.CITING):
-            cos = cosine_matrix(m, axis)
+            cos = cosine_matrix(m, axis).toarray()
             assert np.all(cos >= 0.0) and np.all(cos <= 1.0)
             assert np.array_equal(cos, cos.T)
 
@@ -66,8 +69,105 @@ class TestCosine:
         for axis in (Direction.CITED, Direction.CITING):
             has_vector = np.diff(m.axis_matrix(axis).indptr) > 0
             assert not has_vector.all()
-            diag = np.diag(cosine_matrix(m, axis))
+            diag = np.diag(cosine_matrix(m, axis).toarray())
             assert np.array_equal(diag, np.where(has_vector, 1.0, 0.0))
+
+
+def sparse_cosine_corpus() -> CitationMatrix:
+    """12 journals: journals 0 and 1 cite the same three journals once each,
+    and journals 2 and 3 are cited once each by the same three; journal 10
+    is never cited and journal 11 cites nothing."""
+    rng = np.random.default_rng(31)
+    dense = (rng.random((12, 12)) < 0.35) * rng.integers(1, 20, size=(12, 12))
+    dense[0] = 0
+    dense[0, [4, 7, 8]] = 1
+    dense[1] = dense[0]
+    dense[:, 2] = 0
+    dense[[5, 6, 9], 2] = 1
+    dense[:, 3] = dense[:, 2]
+    dense[10] = 0
+    dense[:, 11] = 0
+    return matrix_from_dense(dense)
+
+
+def naive_cosine(matrix: CitationMatrix, axis: Direction) -> np.ndarray:
+    """Normalised dot products pair by pair, clipped to 1; 0 against an empty
+    vector, and exactly 1 on the diagonal of a nonempty one."""
+    vectors = matrix.axis_matrix(axis).toarray().astype(np.float64)
+    norms = np.sqrt((vectors**2).sum(axis=1))
+    n = len(vectors)
+    cos = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if norms[i] > 0 and norms[j] > 0:
+                cos[i, j] = min(1.0, vectors[i] @ vectors[j] / (norms[i] * norms[j]))
+        cos[i, i] = 1.0 if norms[i] > 0 else 0.0
+    return cos
+
+
+def dense_cosine(matrix: CitationMatrix, axis: Direction) -> np.ndarray:
+    """The same product as `cosine_matrix`, densified before it is clipped."""
+    unit, norms = _l2_normalize_rows(matrix.axis_matrix(axis))
+    dense = np.clip(unit.dot(unit.T).toarray(), 0.0, 1.0)
+    np.fill_diagonal(dense, np.where(norms > 0, 1.0, 0.0))
+    return dense
+
+
+@pytest.mark.parametrize("axis", [Direction.CITED, Direction.CITING])
+class TestSparseCosine:
+    def test_csr_without_stored_zeros(self, axis):
+        cos = cosine_matrix(sparse_cosine_corpus(), axis)
+        assert sp.isspmatrix_csr(cos) and cos.dtype == np.float64
+        assert cos.has_sorted_indices
+        assert np.all(cos.data > 0.0) and np.all(cos.data <= 1.0)
+
+    def test_matches_naive_oracle(self, axis):
+        m = sparse_cosine_corpus()
+        cos = cosine_matrix(m, axis)
+        want = naive_cosine(m, axis)
+        assert np.max(np.abs(cos.toarray() - want)) <= 1e-15
+        empty = {Direction.CITED: 10, Direction.CITING: 11}[axis]
+        assert cos[empty].nnz == 0 and cos[:, empty].nnz == 0
+        assert np.array_equal(cos.diagonal(), np.diag(want))
+
+    def test_identical_vectors_clip_to_one(self, axis):
+        m = sparse_cosine_corpus()
+        twin = {Direction.CITED: (0, 1), Direction.CITING: (2, 3)}[axis]
+        unit, _ = _l2_normalize_rows(m.axis_matrix(axis))
+        assert unit.dot(unit.T)[twin] > 1.0  # the product rounds above 1
+        assert cosine_matrix(m, axis)[twin] == 1.0
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.1, 0.5])
+    def test_binarize_matches_oracle_graph(self, axis, threshold):
+        m = sparse_cosine_corpus()
+        want = naive_cosine(m, axis)
+        off_diagonal = ~np.eye(m.n, dtype=bool)
+        # zeros are exact on both sides; no other value ties a threshold
+        assert np.abs(want - threshold)[off_diagonal & (want > 0)].min() > 1e-12
+        graph = binarize(cosine_matrix(m, axis), threshold)
+        assert np.array_equal(graph.adjacency.toarray(), (want > threshold) & off_diagonal)
+
+    def test_export_bytes_match_dense(self, axis, tmp_path):
+        m = sparse_cosine_corpus()
+        export_matrix_market(cosine_matrix(m, axis), tmp_path / "sparse.mtx")
+        export_matrix_market(dense_cosine(m, axis), tmp_path / "dense.mtx")
+        assert (tmp_path / "sparse.mtx").read_bytes() == (tmp_path / "dense.mtx").read_bytes()
+
+    def test_no_dense_allocation(self, axis):
+        # each journal cites 3 others, so the cosine matrix has a few
+        # thousandths of its n^2 cells filled; a dense one takes 8 n^2 bytes
+        n = 3000
+        rng = np.random.default_rng(17)
+        citing = np.repeat(np.arange(n), 3)
+        cited = rng.integers(0, n, size=citing.size)
+        m = CitationMatrix(n, cited, citing, rng.integers(1, 20, size=citing.size))
+        tracemalloc.start()
+        try:
+            cosine_matrix(m, axis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 4
 
 
 class TestCooccurrence:
@@ -318,7 +418,7 @@ class TestExport:
         rng = np.random.default_rng(20)
         rows, cols, counts = random_sparse_counts(rng, 6, density=0.6)
         m = CitationMatrix(6, rows, cols, counts)
-        cos = cosine_matrix(m, Direction.CITED)
+        cos = cosine_matrix(m, Direction.CITED).toarray()
         path = tmp_path / "cos.mtx"
         export_matrix_market(cos, path)
         back = scipy.io.mmread(str(path)).toarray()
