@@ -89,7 +89,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                    help="sum diversity over the lower triangle only (halves values)")
     p.add_argument("--exclude-self-citations-from-p", action="store_true", default=None,
                    help="drop the diagonal from diversity distributions (sensitivity)")
-    p.add_argument("-k", "--factors", dest="factors_k", type=int, help="factor count")
     p.add_argument("--jobs", type=int,
                    help="worker threads for betweenness on sparse graphs "
                         "(dense graphs use the BLAS threads)")
@@ -262,7 +261,7 @@ def cmd_subset(args) -> int:
         ids = _int_list(args.ids, "--ids")
     else:
         raise UsageError("subset needs --category or --ids")
-    table, registry = scope_table(corpus, ids, args.mode, config)
+    table = scope_table(corpus, ids, args.mode, config)
     out = _write_indicator_reports(table, config, corpus.digests)
     print(f"wrote subset indicators ({len(table)} journals, {args.mode}) to {out}")
     return 0
@@ -307,7 +306,8 @@ def cmd_synth(args) -> int:
     out = _outdir(args.outdir or "out")
     edges = out / "edges.csv"
     truth = out / "synth_truth.json"
-    write_corpus(corpus, edges, truth)
+    with report_set(edges, truth) as (edges_temp, truth_temp):
+        write_corpus(corpus, edges_temp, truth_temp)
     print(
         f"wrote {len(corpus.names)} journals, {len(corpus.counts)} cells "
         f"to {edges} (truth: {truth})"
@@ -361,6 +361,7 @@ def build_parser() -> Parser:
     _add_run_options(p)
     p.add_argument("--columns", help="comma-separated indicator columns")
     p.add_argument("--include-degenerate", action="store_true")
+    p.add_argument("-k", "--factors", dest="factors_k", type=int, help="factor count")
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("subset", help="indicators for a journal subset")

@@ -3,15 +3,18 @@
 The citation matrix follows the convention cell (i, j) = citations from
 articles in journal j to articles in journal i, so row i is journal i's
 "cited" vector and column j is journal j's "citing" vector.  Diagonal cells
-are journal self-citations and are kept.  The loaders open their files
-through `errors.file_errors`: a file that cannot be read, or whose text is
-not UTF-8, is a data error that names it.
+are journal self-citations and are kept.  Every matrix, whether loaded from
+an edge list or a Matrix Market file or cut out by `subset`, is built by the
+one constructor `CitationMatrix(n, rows, cols, counts)` from coordinate
+arrays.  The loaders open their files through `errors.file_errors`: a file
+that cannot be read, or whose text is not UTF-8, is a data error that names
+it.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -104,16 +107,20 @@ class JournalRegistry:
 class CitationMatrix:
     """Sparse asymmetric n x n matrix of aggregated citation counts.
 
-    Zero cells are never stored; all stored counts are positive integers.
-    Immutable after construction.
+    Built from coordinate arrays: `counts[k]` citations in cell
+    (`rows[k]`, `cols[k]`).  Repeated cells are summed.  Zero cells are never
+    stored; all stored counts are positive integers within int64.  Immutable
+    after construction.
     """
 
-    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, counts: np.ndarray):
+    def __init__(self, n: int, rows, cols, counts):
+        try:
+            counts = np.asarray(counts, dtype=np.int64)
+        except OverflowError:  # a Python int beyond int64
+            raise ParseError("citation count exceeds the int64 range") from None
         if len(counts) and counts.min() <= 0:
             raise ParseError("citation counts must be positive")
-        coo = sp.coo_matrix(
-            (counts.astype(np.int64), (rows, cols)), shape=(n, n)
-        )
+        coo = sp.coo_matrix((counts, (rows, cols)), shape=(n, n))
         self._csr = coo.tocsr()
         self._csr.sum_duplicates()
         if self._csr.nnz < len(counts):
@@ -128,27 +135,12 @@ class CitationMatrix:
         self._csc = self._csr.tocsc()
         self.n = n
 
-    @classmethod
-    def from_cells(cls, n: int, cells: dict[tuple[int, int], int]) -> "CitationMatrix":
-        if cells:
-            rows, cols = zip(*cells.keys())
-            try:
-                counts = np.fromiter(cells.values(), dtype=np.int64, count=len(cells))
-            except OverflowError:
-                raise ParseError("summed citation count exceeds the int64 range") from None
-        else:
-            rows, cols, counts = (), (), np.zeros(0, dtype=np.int64)
-        return cls(n, np.asarray(rows), np.asarray(cols), counts)
-
     @property
     def nnz(self) -> int:
         return self._csr.nnz
 
     def tocsr(self) -> sp.csr_matrix:
         return self._csr
-
-    def tocsc(self) -> sp.csc_matrix:
-        return self._csc
 
     def axis_matrix(self, direction: Direction | str) -> sp.csr_matrix:
         """Journal vectors of `direction` as rows of a CSR matrix."""
@@ -176,7 +168,7 @@ def load_edge_list(
 ) -> tuple[JournalRegistry, CitationMatrix]:
     """Load a `citing,cited,count` CSV into a registry and citation matrix.
 
-    Duplicate (citing, cited) rows are summed; rows whose summed count falls
+    Duplicate (citing, cited) rows are summed; cells whose summed count falls
     below `min_count` are dropped after summation.  Ids are assigned in
     first-appearance order (citing column first within each row).  A leading
     UTF-8 byte-order mark, as spreadsheet programs write, is ignored.
@@ -184,7 +176,9 @@ def load_edge_list(
     if min_count < 1:
         raise ParseError("min_count must be a positive integer")
     registry = JournalRegistry()
-    cells: dict[tuple[int, int], int] = {}
+    cited_ids: list[int] = []
+    citing_ids: list[int] = []
+    counts: list[int] = []
     with file_errors(path), open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -202,16 +196,16 @@ def load_edge_list(
             if len(row) != 3:
                 raise ParseError(f"expected 3 fields, got {len(row)}", lineno)
             citing_name, cited_name, count_text = row
-            count = _read_count(count_text, lineno)
-            citing = registry.add(citing_name)
-            cited = registry.add(cited_name)
-            key = (cited, citing)
-            cells[key] = cells.get(key, 0) + count
-    if not cells:
+            counts.append(_read_count(count_text, lineno))
+            citing_ids.append(registry.add(citing_name))
+            cited_ids.append(registry.add(cited_name))
+    if not counts:
         raise EmptyCorpusError(f"{path}: no citation rows")
+    matrix = CitationMatrix(len(registry), cited_ids, citing_ids, counts)
     if min_count > 1:
-        cells = {k: v for k, v in cells.items() if v >= min_count}
-    matrix = CitationMatrix.from_cells(len(registry), cells)
+        cells = matrix.tocsr().tocoo()
+        keep = cells.data >= min_count
+        matrix = CitationMatrix(matrix.n, cells.row[keep], cells.col[keep], cells.data[keep])
     return registry, matrix
 
 
@@ -272,7 +266,7 @@ def load_matrix_market(
         rows,
         np.asarray(mat.row)[keep],
         np.asarray(mat.col)[keep],
-        data[keep].astype(np.int64),
+        data[keep],
     )
     return registry, matrix
 
@@ -339,61 +333,19 @@ def load_metadata(path: str | Path, registry: JournalRegistry) -> int:
 # Subsetting
 
 
-@dataclass
-class AnalysisScope:
-    """A restriction of the corpus to a set of journals.
-
-    In ``global_context`` mode the original registry/matrix are kept and
-    `ids` marks which journals rankings and statistics are restricted to;
-    indicator values are those of the unrestricted run.  In
-    ``local_submatrix`` mode `registry`/`matrix` are a fresh re-indexed
-    corpus limited to `ids` on both axes, and `index_map` maps new ids back
-    to the originals.
-    """
-
-    mode: SubsetMode
-    registry: JournalRegistry
-    matrix: CitationMatrix
-    ids: list[int]
-    index_map: dict[int, int] = field(default_factory=dict)
-
-
 def subset(
-    matrix: CitationMatrix,
-    registry: JournalRegistry,
-    ids: set[int] | list[int],
-    mode: SubsetMode | str,
-) -> AnalysisScope:
-    """Restrict analysis to `ids`, either in context or as a submatrix."""
-    mode = SubsetMode(mode)
-    id_list = sorted(set(ids))
-    if not id_list:
-        raise UnknownJournalError("subset ids must be nonempty")
-    if id_list[0] < 0 or id_list[-1] >= matrix.n:
-        bad = id_list[0] if id_list[0] < 0 else id_list[-1]
-        raise UnknownJournalError(f"journal id {bad} out of range 0..{matrix.n - 1}")
-
-    if mode is SubsetMode.GLOBAL_CONTEXT:
-        return AnalysisScope(mode=mode, registry=registry, matrix=matrix, ids=id_list)
-
-    sub = matrix.tocsr()[id_list, :][:, id_list].tocoo()
-    sub_matrix = CitationMatrix(
-        len(id_list), sub.row, sub.col, sub.data.astype(np.int64)
-    )
+    matrix: CitationMatrix, registry: JournalRegistry, ids: list[int]
+) -> tuple[JournalRegistry, CitationMatrix]:
+    """The corpus restricted to `ids` on both axes, re-indexed: new id k is
+    original id `ids[k]`, metadata included.  `ids` must be distinct and in
+    range; `pipeline.scope_table` checks them."""
+    sub = matrix.tocsr()[ids, :][:, ids].tocoo()
     sub_registry = JournalRegistry()
-    for new_id, old_id in enumerate(id_list):
+    for old_id in ids:
         old = registry.entries[old_id]
-        sub_registry.add(old.name)
-        entry = sub_registry.entries[new_id]
+        entry = sub_registry.entries[sub_registry.add(old.name)]
         entry.category = old.category
         entry.total_cites = old.total_cites
         entry.impact_factor = old.impact_factor
         entry.immediacy = old.immediacy
-    index_map = {new: old for new, old in enumerate(id_list)}
-    return AnalysisScope(
-        mode=mode,
-        registry=sub_registry,
-        matrix=sub_matrix,
-        ids=list(range(len(id_list))),
-        index_map=index_map,
-    )
+    return sub_registry, CitationMatrix(len(ids), sub.row, sub.col, sub.data)

@@ -30,7 +30,7 @@ from .corpus import (
     subset,
 )
 from .diversity import diversity_all
-from .errors import DataError, EmptyCorpusError, UsageError, file_errors
+from .errors import DataError, EmptyCorpusError, UnknownJournalError, UsageError, file_errors
 from .netspace import binarize, binarize_directed, cooccurrence_support, cosine_matrix
 from .stats import (
     CorrelationMatrix,
@@ -160,13 +160,14 @@ class LoadedCorpus:
     registry: JournalRegistry
     matrix: CitationMatrix
     digests: dict[str, str] = field(default_factory=dict)
-    metadata_unmatched: int = 0
 
 
 def load_corpus(config: RunConfig) -> LoadedCorpus:
     if config.edges and config.matrix_market:
         raise UsageError("give either an edge list or a Matrix Market file, not both")
     if config.edges:
+        if config.names_file:
+            raise UsageError("--names applies to --matrix-market, not to edge lists")
         registry, matrix = load_edge_list(config.edges, min_count=config.min_count)
         digests = {"edges": file_digest(config.edges)}
     elif config.matrix_market:
@@ -180,15 +181,12 @@ def load_corpus(config: RunConfig) -> LoadedCorpus:
         raise UsageError("no input file given")
     if matrix.nnz == 0:  # e.g. --min-count dropped every cell
         raise EmptyCorpusError("citation matrix has no cells")
-    unmatched = 0
     if config.metadata:
         unmatched = load_metadata(config.metadata, registry)
         digests["metadata"] = file_digest(config.metadata)
         if unmatched:
             warnings.warn(f"{unmatched} metadata rows did not match any journal")
-    return LoadedCorpus(
-        registry=registry, matrix=matrix, digests=digests, metadata_unmatched=unmatched
-    )
+    return LoadedCorpus(registry=registry, matrix=matrix, digests=digests)
 
 
 def _family_columns(
@@ -273,17 +271,31 @@ def _attach_metadata_columns(table: IndicatorTable, registry: JournalRegistry) -
 
 def scope_table(
     corpus: LoadedCorpus, ids: list[int], mode: SubsetMode | str, config: RunConfig
-) -> tuple[IndicatorTable, JournalRegistry]:
-    """Indicator table for a subset, in context or as a fresh submatrix."""
-    scope = subset(corpus.matrix, corpus.registry, ids, mode)
-    if scope.mode is SubsetMode.GLOBAL_CONTEXT:
+) -> IndicatorTable:
+    """Indicator table for the journals `ids` (any order, repeats allowed),
+    rows in ascending id order.
+
+    In `global_context` mode the indicators are those of the whole corpus; in
+    `local_submatrix` mode they are computed on the submatrix of `ids` alone.
+    Either way `journal_ids` are the corpus's own ids.
+    """
+    mode = SubsetMode(mode)
+    id_list = sorted(set(ids))
+    if not id_list:
+        raise UnknownJournalError("subset ids must be nonempty")
+    n = corpus.matrix.n
+    if id_list[0] < 0 or id_list[-1] >= n:
+        bad = id_list[0] if id_list[0] < 0 else id_list[-1]
+        raise UnknownJournalError(f"journal id {bad} out of range 0..{n - 1}")
+    if mode is SubsetMode.GLOBAL_CONTEXT:
         table = compute_indicator_table(corpus.matrix, corpus.registry, config)
-        mask = np.zeros(len(table), dtype=bool)
-        mask[scope.ids] = True
-        return table.select_rows(mask), corpus.registry
-    table = compute_indicator_table(scope.matrix, scope.registry, config)
-    table.journal_ids = [scope.index_map[j] for j in table.journal_ids]
-    return table, scope.registry
+        mask = np.zeros(n, dtype=bool)
+        mask[id_list] = True
+        return table.select_rows(mask)
+    registry, matrix = subset(corpus.matrix, corpus.registry, id_list)
+    table = compute_indicator_table(matrix, registry, config)
+    table.journal_ids = id_list
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ model uses listwise-complete rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -253,7 +253,6 @@ class RotatedFactorSolution:
     k: int
     converged: bool
     iterations: int
-    criterion: float = field(default=0.0)
 
 
 def varimax(
@@ -280,7 +279,6 @@ def varimax(
             k=1,
             converged=True,
             iterations=0,
-            criterion=varimax_criterion(loadings),
         )
 
     h = np.sqrt((loadings**2).sum(axis=1))
@@ -326,7 +324,6 @@ def varimax(
         k=k,
         converged=converged,
         iterations=iterations,
-        criterion=varimax_criterion(rotated if not kaiser_normalize else work),
     )
 
 

@@ -418,7 +418,7 @@ class TestNormalization:
 
 class TestVariants:
     def test_diagonal_only_matrix_all_zero(self):
-        m = CitationMatrix.from_cells(4, {(i, i): 3 for i in range(4)})
+        m = CitationMatrix(4, range(4), range(4), [3] * 4)
         table = indicator_table(m, metrics=())
         for name in BETWEENNESS_COLUMNS:
             assert np.allclose(table.column(name), 0.0), name
@@ -427,19 +427,13 @@ class TestVariants:
         # Two 4-journal cliques in the cited dimension plus one journal cited
         # by members of both clusters: the bridge must top cosine-cited
         # betweenness.
-        cells = {}
         # cluster A journals 0-3 all cited by citers 10-13; cluster B journals
         # 4-7 cited by citers 14-17; bridge 8 cited by one citer of each side.
         n = 18
-        for cited in range(4):
-            for citer in range(10, 14):
-                cells[(cited, citer)] = 2
-        for cited in range(4, 8):
-            for citer in range(14, 18):
-                cells[(cited, citer)] = 2
-        cells[(8, 10)] = 1
-        cells[(8, 14)] = 1
-        m = CitationMatrix.from_cells(n, cells)
+        cells = [(cited, citer) for cited in range(4) for citer in range(10, 14)]
+        cells += [(cited, citer) for cited in range(4, 8) for citer in range(14, 18)]
+        rows, cols = zip(*cells, (8, 10), (8, 14))
+        m = CitationMatrix(n, rows, cols, [2] * len(cells) + [1, 1])
         graph = binarize(cooccurrence_support(m, Direction.CITED))
         scores = betweenness(graph)
         brute = brute_betweenness(
@@ -475,13 +469,13 @@ class TestVariants:
 
 class TestDegree:
     def test_self_cited_only(self):
-        m = CitationMatrix.from_cells(2, {(0, 0): 9})
+        m = CitationMatrix(2, [0], [0], [9])
         table = indicator_table(m, metrics=())
         assert table.column("degree_cited")[0] == 0
         assert table.column("total_citations_cited")[0] == 9
 
     def test_diagonal_excluded_from_degree(self):
-        m = CitationMatrix.from_cells(4, {(0, 0): 1, (0, 1): 2, (0, 2): 5})
+        m = CitationMatrix(4, [0, 0, 0], [0, 1, 2], [1, 2, 5])
         table = indicator_table(m, metrics=())
         assert table.column("degree_cited")[0] == 2
         assert table.column("total_citations_cited")[0] == 8

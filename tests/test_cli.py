@@ -792,22 +792,24 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,directory,partners",
         [
-            pytest.param(["indicators"], "indicators.json",
+            pytest.param(["indicators", "--edges", "{edges}"], "indicators.json",
                          ["indicators_cited.csv", "indicators_citing.csv"], id="indicators"),
-            pytest.param(["correlate"], "correlations.json", ["correlations.csv"],
-                         id="correlate"),
-            pytest.param(["factor", "-k", "2"], "factors.json", ["factors.csv"], id="factor"),
+            pytest.param(["correlate", "--edges", "{edges}"], "correlations.json",
+                         ["correlations.csv"], id="correlate"),
+            pytest.param(["factor", "--edges", "{edges}", "-k", "2"], "factors.json",
+                         ["factors.csv"], id="factor"),
+            pytest.param(["synth", "--clusters", "4,4"], "synth_truth.json", ["edges.csv"],
+                         id="synth"),
         ],
     )
     def test_failed_report_set_writes_none_of_it(
         self, synth_outdir, tmp_path, argv, directory, partners
     ):
-        edges = synth_outdir / "edges.csv"
+        argv = [part.format(edges=synth_outdir / "edges.csv") for part in argv]
         out = tmp_path / "o"
         (out / directory).mkdir(parents=True)
         proc = subprocess.run(
-            [sys.executable, "-m", "interdisc.cli", *argv, "--edges", str(edges),
-             "--outdir", str(out)],
+            [sys.executable, "-m", "interdisc.cli", *argv, "--outdir", str(out)],
             env=src_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 2, proc.stderr
@@ -816,7 +818,7 @@ class TestExitCodes:
         assert sorted(p.name for p in out.iterdir()) == [directory]
         # the set is written whole once the directory is gone
         (out / directory).rmdir()
-        assert run([*argv, "--edges", edges, "--outdir", out]) == 0
+        assert run([*argv, "--outdir", out]) == 0
         assert sorted(p.name for p in out.iterdir()) == sorted([directory, *partners])
 
     def test_numerical_error_is_3(self, synth_outdir, tmp_path):
@@ -843,6 +845,33 @@ class TestOptionValidation:
         argv = ["indicators", "--matrix-market", mm, "--outdir", tmp_path / "o"]
         assert run(argv) == 0
         assert run(argv + ["--min-count", "2"]) == 1
+
+    def test_names_without_matrix_market_is_usage_error(self, edges_path, tmp_path, capsys):
+        names = tmp_path / "names.txt"
+        names.write_text("A\nB\nC\n", encoding="utf-8")
+        argv = ["indicators", "--edges", edges_path, "--outdir", tmp_path / "o"]
+        assert run(argv + ["--names", names]) == 1
+        assert "--names applies to --matrix-market" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["indicators"],
+            ["rank", "entropy"],
+            ["correlate"],
+            ["subset", "--ids", "0,1"],
+            ["export-matrix", "--out", "cos.mtx"],
+        ],
+    )
+    def test_factors_outside_factor_is_usage_error(
+        self, edges_path, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert run([*command, "--edges", edges_path, "--outdir", "o", "-k", "4"]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: -k 4" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "cos.mtx").exists()
 
     def test_nan_cosine_threshold_is_usage_error(self, edges_path, tmp_path):
         code = run(

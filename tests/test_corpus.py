@@ -12,6 +12,7 @@ from interdisc.corpus import (
     load_metadata,
     subset,
 )
+from interdisc.pipeline import LoadedCorpus, RunConfig, compute_indicator_table, scope_table
 from interdisc.errors import (
     DimensionError,
     EmptyCorpusError,
@@ -19,7 +20,6 @@ from interdisc.errors import (
     ParseError,
     UnknownJournalError,
 )
-from interdisc.vector_indicators import gini_from_counts
 
 
 def write(tmp_path, name, text):
@@ -37,11 +37,14 @@ class TestLoadEdgeList:
         assert matrix.nnz == 1
 
     def test_min_count_drops_after_summing(self, tmp_path):
-        path = write(tmp_path, "e.csv", "citing,cited,count\nB,A,1\nC,A,4\n")
+        # D cites A twice with count 1: the summed cell of 2 survives min_count=2
+        path = write(tmp_path, "e.csv", "citing,cited,count\nB,A,1\nD,A,1\nC,A,4\nD,A,1\n")
         registry, matrix = load_edge_list(path, min_count=2)
-        a, c = registry.id_of("A"), registry.id_of("C")
-        assert matrix.nnz == 1
+        a, c, d = registry.id_of("A"), registry.id_of("C"), registry.id_of("D")
+        assert len(registry) == 4
+        assert matrix.nnz == 2
         assert matrix.tocsr()[a, c] == 4
+        assert matrix.tocsr()[a, d] == 2
 
     def test_hand_tally(self, corpus3):
         registry, matrix = corpus3
@@ -292,22 +295,22 @@ class TestMetadata:
         load_metadata(meta, registry)
         ids = registry.ids_in_category("LIS")
         assert len(ids) == 61
-        scope = subset(matrix, registry, ids, SubsetMode.LOCAL_SUBMATRIX)
-        assert scope.matrix.n == 61
+        _, sub = subset(matrix, registry, ids)
+        assert sub.n == 61
 
 
 class TestVector:
     """A journal's vector in a direction is its row of `axis_matrix`."""
 
     def test_diagonal_only_support(self):
-        matrix = CitationMatrix.from_cells(2, {(0, 0): 7})
+        matrix = CitationMatrix(2, [0], [0], [7])
         vec = matrix.axis_matrix(Direction.CITED)[0]
         assert vec.nnz == 1
         assert vec.sum() == 7
 
     def test_direction_convention(self):
         # cell (cited=A0, citing=B1) = 2: A's citing vector is empty.
-        matrix = CitationMatrix.from_cells(2, {(0, 1): 2})
+        matrix = CitationMatrix(2, [0], [1], [2])
         assert matrix.axis_matrix(Direction.CITING)[0].nnz == 0
         assert matrix.axis_matrix(Direction.CITED)[0].nnz == 1
         assert matrix.axis_matrix(Direction.CITING)[1].nnz == 1
@@ -338,57 +341,67 @@ class TestVector:
             assert np.array_equal(np.sort(a.indices), np.sort(b.indices))
             assert dict(zip(a.indices, a.data)) == dict(zip(b.indices, b.data))
 
-    def test_out_of_range(self, corpus3):
-        registry, matrix = corpus3
-        with pytest.raises(UnknownJournalError):
-            subset(matrix, registry, [99], SubsetMode.GLOBAL_CONTEXT)
-
 
 def _coo_arrays(coo):
     return coo.row, coo.col, coo.data.astype(np.int64)
 
 
 class TestSubset:
-    def test_full_set_identity_both_modes(self, corpus4):
+    def test_full_set_is_identity(self, corpus4):
         registry, matrix = corpus4
-        all_ids = list(range(matrix.n))
-        local = subset(matrix, registry, all_ids, SubsetMode.LOCAL_SUBMATRIX)
-        assert np.array_equal(
-            local.matrix.tocsr().toarray(), matrix.tocsr().toarray()
-        )
-        glob = subset(matrix, registry, all_ids, SubsetMode.GLOBAL_CONTEXT)
-        assert glob.matrix is matrix
+        sub_registry, sub = subset(matrix, registry, list(range(matrix.n)))
+        assert np.array_equal(sub.tocsr().toarray(), matrix.tocsr().toarray())
+        assert [e.name for e in sub_registry.entries] == [e.name for e in registry.entries]
 
     def test_local_restriction(self, corpus4):
         registry, matrix = corpus4
         w, x = registry.id_of("W"), registry.id_of("X")
-        scope = subset(matrix, registry, [w, x], SubsetMode.LOCAL_SUBMATRIX)
-        dense = scope.matrix.tocsr().toarray()
+        _, sub = subset(matrix, registry, [w, x])
+        dense = sub.tocsr().toarray()
         assert dense.shape == (2, 2)
         # only intra-pair cells survive: (X,W)=2, (W,X)=1, (W,W)=7
         assert dense.sum() == 10
 
-    def test_global_context_gini_matches_full_run(self, corpus4):
-        registry, matrix = corpus4
-        x = registry.id_of("X")
-        scope = subset(matrix, registry, [x], SubsetMode.GLOBAL_CONTEXT)
-        full_value = gini_from_counts(matrix.axis_matrix(Direction.CITED)[x].data)
-        scoped_value = gini_from_counts(scope.matrix.axis_matrix(Direction.CITED)[x].data)
-        assert full_value == scoped_value
-
     def test_local_then_full_is_identity(self, corpus4):
         registry, matrix = corpus4
-        scope = subset(matrix, registry, [0, 1, 2, 3], SubsetMode.LOCAL_SUBMATRIX)
-        again = subset(
-            scope.matrix, scope.registry, [0, 1, 2, 3], SubsetMode.LOCAL_SUBMATRIX
-        )
-        assert np.array_equal(
-            again.matrix.tocsr().toarray(), matrix.tocsr().toarray()
-        )
+        sub_registry, sub = subset(matrix, registry, [0, 1, 2, 3])
+        _, again = subset(sub, sub_registry, [0, 1, 2, 3])
+        assert np.array_equal(again.tocsr().toarray(), matrix.tocsr().toarray())
 
-    def test_errors(self, corpus3):
+
+class TestScopeTable:
+    def test_global_context_rows_are_the_full_tables(self, corpus4):
+        registry, matrix = corpus4
+        config = RunConfig()
+        full = compute_indicator_table(matrix, registry, config)
+        table = scope_table(
+            LoadedCorpus(registry, matrix), [3, 1, 3], SubsetMode.GLOBAL_CONTEXT, config
+        )
+        assert table.journal_ids == [1, 3]
+        assert table.names == [full.names[1], full.names[3]]
+        assert list(table.columns) == list(full.columns)
+        for name, values in full.columns.items():
+            np.testing.assert_array_equal(table.column(name), values[[1, 3]], err_msg=name)
+        assert list(table.flags) == list(full.flags)
+        for name, flags in full.flags.items():
+            np.testing.assert_array_equal(table.flags[name], flags[[1, 3]], err_msg=name)
+
+    def test_local_submatrix_keeps_sorted_original_ids_and_names(self, corpus4):
+        registry, matrix = corpus4
+        config = RunConfig()
+        table = scope_table(
+            LoadedCorpus(registry, matrix), [3, 0, 3], SubsetMode.LOCAL_SUBMATRIX, config
+        )
+        assert table.journal_ids == [0, 3]
+        assert table.names == [registry.name_of(0), registry.name_of(3)]
+        sub_registry, sub = subset(matrix, registry, [0, 3])
+        local = compute_indicator_table(sub, sub_registry, config)
+        for name, values in local.columns.items():
+            np.testing.assert_array_equal(table.column(name), values, err_msg=name)
+
+    @pytest.mark.parametrize("mode", list(SubsetMode))
+    @pytest.mark.parametrize("ids", [[], [17], [-1, 0], [0, 99]])
+    def test_bad_ids(self, corpus3, mode, ids):
         registry, matrix = corpus3
         with pytest.raises(UnknownJournalError):
-            subset(matrix, registry, [], SubsetMode.GLOBAL_CONTEXT)
-        with pytest.raises(UnknownJournalError):
-            subset(matrix, registry, [17], SubsetMode.LOCAL_SUBMATRIX)
+            scope_table(LoadedCorpus(registry, matrix), ids, mode, RunConfig())

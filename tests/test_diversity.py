@@ -103,13 +103,13 @@ class TestRaoStirling:
 
 class TestDiversityAll:
     def test_diagonal_only_journal_degenerate(self):
-        m = CitationMatrix.from_cells(3, {(0, 0): 5, (1, 0): 2, (1, 2): 3, (2, 1): 1})
+        m = CitationMatrix(3, [0, 1, 1, 2], [0, 0, 2, 1], [5, 2, 3, 1])
         results = diversity_all(m, Direction.CITED, "one_minus_cosine")
         r0 = results[0]
         assert r0.degenerate and r0.d_value == 0.0 and not r0.missing
 
     def test_empty_journal_missing(self):
-        m = CitationMatrix.from_cells(3, {(0, 1): 4, (1, 0): 2})
+        m = CitationMatrix(3, [0, 1], [1, 0], [4, 2])
         results = diversity_all(m, Direction.CITED, "one_minus_cosine")
         assert results[2].missing and results[2].degenerate
 
@@ -199,28 +199,24 @@ class TestDiversityAll:
     def test_bridge_beats_cluster_members(self):
         # Two disjoint 4-journal clusters plus a bridge citing both evenly:
         # the bridge's citing diversity must exceed every within-cluster one.
-        cells = {}
-        for citing in range(4):
-            for cited in range(4):
-                if cited != citing:
-                    cells[(cited, citing)] = 3
-        for citing in range(4, 8):
-            for cited in range(4, 8):
-                if cited != citing:
-                    cells[(cited, citing)] = 3
+        cells = [
+            (cited, citing)
+            for cluster in (range(4), range(4, 8))
+            for citing in cluster
+            for cited in cluster
+            if cited != citing
+        ]
         bridge = 8
-        for cited in (0, 1, 4, 5):
-            cells[(cited, bridge)] = 3
-        m = CitationMatrix.from_cells(9, cells)
+        cells += [(cited, bridge) for cited in (0, 1, 4, 5)]
+        rows, cols = zip(*cells)
+        m = CitationMatrix(9, rows, cols, [3] * len(cells))
         results = diversity_all(m, Direction.CITING, "one_minus_cosine")
         bridge_value = results[bridge].d_value
         for jid in range(8):
             assert bridge_value > results[jid].d_value
 
     def test_exclude_self_citations_flag(self):
-        m = CitationMatrix.from_cells(
-            3, {(0, 0): 10, (0, 1): 1, (0, 2): 1, (1, 0): 2, (2, 1): 2, (1, 2): 1}
-        )
+        m = CitationMatrix(3, [0, 0, 0, 1, 2, 1], [0, 1, 2, 0, 1, 2], [10, 1, 1, 2, 2, 1])
         keep = diversity_all(m, Direction.CITED, "one_minus_cosine")
         drop = diversity_all(
             m, Direction.CITED, "one_minus_cosine", exclude_self_citations=True

@@ -216,7 +216,7 @@ class TestCooccurrence:
 
     def test_overflow_detection(self):
         big = int(np.sqrt(np.iinfo(np.int64).max)) + 1
-        m = CitationMatrix.from_cells(2, {(0, 0): big, (0, 1): big})
+        m = CitationMatrix(2, [0, 0], [0, 1], [big, big])
         with pytest.raises(CountOverflowError):
             cooccurrence(m, Direction.CITED)
 
@@ -268,7 +268,7 @@ class TestBinarize:
 class TestBinarizeDirected:
     def test_single_cell_arc(self):
         # cell (cited=0, citing=1): arc 1 -> 0
-        m = CitationMatrix.from_cells(2, {(0, 1): 5})
+        m = CitationMatrix(2, [0], [1], [5])
         graph = binarize_directed(m)
         assert graph.directed
         assert graph.edge_count == 1
@@ -276,7 +276,7 @@ class TestBinarizeDirected:
         assert list(graph.adjacency[0].indices) == []
 
     def test_diagonal_only_is_edgeless(self):
-        m = CitationMatrix.from_cells(3, {(0, 0): 2, (1, 1): 9})
+        m = CitationMatrix(3, [0, 1], [0, 1], [2, 9])
         assert binarize_directed(m).edge_count == 0
 
     def test_arc_count_is_offdiagonal_nnz(self, corpus4):
@@ -288,12 +288,12 @@ class TestBinarizeDirected:
 
 class TestProbabilityNormalize:
     def test_basic(self):
-        m = CitationMatrix.from_cells(2, {(0, 0): 2, (0, 1): 2})
+        m = CitationMatrix(2, [0, 0], [0, 1], [2, 2])
         prob, _ = _l1_normalize_rows(m.axis_matrix(Direction.CITED))
         assert np.allclose(prob.toarray()[0], [0.5, 0.5])
 
     def test_direct_division(self):
-        m = CitationMatrix.from_cells(4, {(0, 0): 1, (0, 1): 2, (0, 2): 3, (0, 3): 4})
+        m = CitationMatrix(4, [0, 0, 0, 0], [0, 1, 2, 3], [1, 2, 3, 4])
         prob, _ = _l1_normalize_rows(m.axis_matrix(Direction.CITED))
         p = prob.toarray()[0]
         assert np.allclose(p, [0.1, 0.2, 0.3, 0.4], atol=1e-15)

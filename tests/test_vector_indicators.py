@@ -91,7 +91,7 @@ class TestGiniNormalized:
         assert gini_normalized_from_counts([4, 4]) == 0.0
 
     def test_degenerate_flagging(self):
-        matrix = CitationMatrix.from_cells(2, {(0, 0): 9})
+        matrix = CitationMatrix(2, [0], [0], [9])
         table = indicator_table(matrix, metrics=())
         assert table.flags["degenerate_cited"][0]
         assert table.column("gini_cited")[0] == 0.0
