@@ -12,14 +12,15 @@ allocates its work arrays once and reuses them for every batch and level.
 
 The adjacency format follows the graph's density.  Above `DENSE_DENSITY`,
 as co-occurrence graphs often are, it is an n x n float64 array and each
-product is a multithreaded BLAS GEMM run in the calling thread; below it is
-CSR and its batches may be spread over worker threads that share it, each
-taking one interleaved share (every `jobs`-th batch).  The sparse products
-and the elementwise steps release the GIL.  When one share fails, or the
-calling thread is interrupted, the other shares stop before their next
-batch.  Both formats run the same recurrences.  The forward phase is exact
-either way (path counts are integers below 2**53); the backward sums may
-differ in the last bit between formats and between BLAS thread counts.
+product is a multithreaded BLAS GEMM, all batches in one worker thread;
+below it is CSR and its batches may be spread over worker threads that
+share it, each taking one interleaved share (every `jobs`-th batch).  The
+sparse products and the elementwise steps release the GIL.  Every run goes
+through the same pool: when one share fails, or the calling thread is
+interrupted, the shares stop before their next batch.  Both formats run
+the same recurrences.  The forward phase is exact either way (path counts
+are integers below 2**53); the backward sums may differ in the last bit
+between formats and between BLAS thread counts.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def betweenness(
     contribute nothing.
 
     A graph with more than `DENSE_DENSITY * n * n` arcs runs on a dense
-    float64 adjacency (8 n^2 bytes) in the calling thread, using the BLAS
+    float64 adjacency (8 n^2 bytes) in one worker thread, using the BLAS
     threads; `jobs` applies only to sparser graphs, whose batches it spreads
     over that many threads sharing the adjacency.  Results do not depend on
     `jobs`.
@@ -157,24 +158,22 @@ def betweenness(
         adj = graph.adjacency.astype(np.float64).tocsr()
         adj_t = adj.T.tocsr() if graph.directed else adj
 
+    # one interleaved share per thread, put back in batch order
     workers = 1 if dense else min(jobs, len(batches))
-    if workers == 1:
-        partials = _dependencies(adj, adj_t, batches)
-    else:  # one interleaved share per thread, put back in batch order
-        stop = threading.Event()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_dependencies, adj, adj_t, batches[w::workers], stop)
-                for w in range(workers)
-            ]
-            try:
-                wait(futures, return_when=FIRST_EXCEPTION)
-            finally:
-                # a no-op once every share is done; otherwise a share failed, or
-                # this thread was interrupted, and the rest stop at their next batch
-                stop.set()
-            shares = [future.result() for future in futures]
-        partials = [shares[i % workers][i // workers] for i in range(len(batches))]
+    stop = threading.Event()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(_dependencies, adj, adj_t, batches[w::workers], stop)
+            for w in range(workers)
+        ]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            # a no-op once every share is done; otherwise a share failed, or
+            # this thread was interrupted, and the rest stop at their next batch
+            stop.set()
+        shares = [future.result() for future in futures]
+    partials = [shares[i % workers][i // workers] for i in range(len(batches))]
 
     for part in partials:  # fixed reduction order keeps results deterministic
         scores += part

@@ -17,15 +17,13 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .corpus import SubsetMode
 from .errors import DataError, InterdiscError, UsageError, file_errors
 from .netspace import cooccurrence, cosine_matrix, distance_matrix, export_matrix_market
 from .pipeline import (
     RunConfig,
-    _direction_of,
     compute_indicator_table,
+    degenerate_rows,
     load_corpus,
     ranking,
     report_set,
@@ -192,12 +190,10 @@ def cmd_rank(args) -> int:
 
 
 def _table_for_stats(args, config: RunConfig, default_columns: list[str]):
-    """The table of the --columns (else the defaults), degenerate rows dropped.
-
-    A journal is dropped when it is degenerate in the direction of some column
-    in use: the direction the column's name ends with, or, for a column that
-    names none, any of `config.directions`.  So the default `factor`, whose
-    columns are all cited-side, keeps journals degenerate only when citing.
+    """The table of the --columns (else the defaults), without the rows
+    `degenerate_rows` finds for them under `config.directions`.  So the
+    default `factor`, whose columns are all cited-side, keeps journals
+    degenerate only when citing.
     """
     columns = _split(args.columns) if args.columns else default_columns
     corpus = load_corpus(config)
@@ -206,10 +202,7 @@ def _table_for_stats(args, config: RunConfig, default_columns: list[str]):
     if missing:
         raise UsageError(f"unknown indicator columns: {missing}")
     if not args.include_degenerate:
-        named = [_direction_of(c) for c in columns]
-        directions = {d for d in named if d} | (set(config.directions) if None in named else set())
-        degenerate = [table.flags[f"degenerate_{d}"] for d in directions]
-        table = table.select_rows(~np.logical_or.reduce(degenerate))
+        table = table.select_rows(~degenerate_rows(table, columns, config.directions))
     return corpus, table, columns
 
 

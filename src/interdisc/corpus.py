@@ -284,17 +284,25 @@ def _optional_float(text: str, line: int) -> float | None:
 def load_metadata(path: str | Path, registry: JournalRegistry) -> int:
     """Attach `name,category,total_cites,impact_factor,immediacy` metadata.
 
-    Trailing fields are optional.  Names that do not match any registry entry
+    The header names the file's fields, a leading run of those five; trailing
+    fields are optional.  Names that do not match any registry entry
     are counted and skipped, not fatal; the count of unmatched rows is
     returned.  Two rows for the same journal raise a conflict error.
     """
     unmatched = 0
     seen: set[str] = set()
-    with file_errors(path), open(path, newline="", encoding="utf-8") as fh:
+    with file_errors(path), open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise EmptyCorpusError(f"{path}: empty metadata file")
+        fields = ["name", "category", "total_cites", "impact_factor", "immediacy"]
+        if not header or [h.strip().casefold() for h in header] != fields[: len(header)]:
+            raise ParseError(
+                f"expected a header of the first fields of {','.join(fields)!r}, "
+                f"got {','.join(header)!r}",
+                line=1,
+            )
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue

@@ -206,7 +206,8 @@ def _all_euclidean_pairs(axis: sp.csr_matrix, p_def: sp.csr_matrix) -> np.ndarra
     journal's distribution (the strict upper triangle of B^T B for the pattern
     B of `p_def`); d is symmetric, so each form is twice its upper-triangle
     part.  Pairs whose d^2 cancels to below CANCELLATION_RATIO of
-    |q_a|^2 + |q_b|^2 are recomputed from their differences.
+    |q_a|^2 + |q_b|^2, exactly 0 included, are recomputed from their
+    differences.
     """
     prob, _ = _l1_normalize_rows(axis)
     pattern = p_def.astype(bool).astype(np.int32)
@@ -218,6 +219,8 @@ def _all_euclidean_pairs(axis: sp.csr_matrix, p_def: sp.csr_matrix) -> np.ndarra
         (sq[row_of] + sq[pairs.indices], pairs.indices, pairs.indptr), shape=pairs.shape
     )
     dist = (sq_sums - 2.0 * pairs.multiply(prob.dot(prob.T))).tocsr()
+    if dist.nnz < pairs.nnz:  # pairs that cancel to exactly 0 were dropped: -1 marks them
+        dist = dist - (pairs - pairs.multiply(dist.astype(bool)))  # for the repair below
     near = np.flatnonzero(dist.data <= 2 * CANCELLATION_RATIO * sq.max())
     rows = np.searchsorted(dist.indptr, near, side="right") - 1
     cols = dist.indices[near]

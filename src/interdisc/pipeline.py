@@ -24,6 +24,7 @@ from .corpus import (
     Direction,
     JournalRegistry,
     SubsetMode,
+    canonical_name,
     load_edge_list,
     load_matrix_market,
     load_metadata,
@@ -233,9 +234,10 @@ def compute_indicator_table(
     those names need, each run once (raw betweenness once for both directions).
     `support_*`, `degenerate_*` and the metadata columns are always added.
 
-    Journals with an empty vector in a direction get NaN across that
-    direction's columns and a raised degeneracy flag; single-cell journals
-    keep their conventional values and the flag.
+    Journals with an empty vector in a direction get NaN in that direction's
+    vector, size and diversity columns, 0 in its betweenness columns (a node
+    no path crosses), and a raised degeneracy flag; single-cell journals keep
+    their conventional values and the flag.
     """
     n = matrix.n
     table = IndicatorTable(
@@ -415,6 +417,23 @@ def _direction_of(column: str) -> str | None:
     return next((d.value for d in Direction if column.endswith(f"_{d.value}")), None)
 
 
+def degenerate_rows(
+    table: IndicatorTable, columns: list[str], directions: list[str] | tuple[str, ...]
+) -> np.ndarray:
+    """Rows degenerate in a direction that `columns` use: the direction a
+    column's name ends with, or each of `directions` for a column that names
+    none.  A direction without a `degenerate_*` flag in the table marks no row.
+    """
+    used: set[str] = set()
+    for column in columns:
+        named = _direction_of(column)
+        used |= {named} if named else set(directions)
+    degenerate = np.zeros(len(table), dtype=bool)
+    for direction in used:
+        degenerate |= table.flags.get(f"degenerate_{direction}", False)
+    return degenerate
+
+
 def _indicator_of(column: str) -> Indicator:
     """The catalogue indicator of a column name, with or without its direction;
     columns outside the catalogue (support, metadata) rank descending."""
@@ -447,62 +466,40 @@ def ranking(
     journals degenerate in the column's direction (`direction` for a column
     that names none) are left out unless asked for, and journals with no
     value never rank.  `append_journal` adds one named journal's row below
-    the list regardless of its rank.  `sqrt_values` displays square roots
-    (rank order is unchanged); it only applies to diversity indicators.
+    the list regardless of its rank (0 if it is not eligible), even below an
+    empty list.  `sqrt_values` displays square roots (rank order is
+    unchanged); it only applies to diversity indicators.
     """
     column_name = indicator if indicator in table.columns else f"{indicator}_{direction}"
     if column_name not in table.columns:
         raise UsageError(f"unknown indicator: {indicator!r}")
     if sqrt_values and not _indicator_of(column_name).diversity:
         raise UsageError("--sqrt applies only to diversity indicators")
-    values = table.column(column_name).copy()
+    values = table.column(column_name)
     eligible = ~np.isnan(values)
-    flag = table.flags.get(f"degenerate_{_direction_of(column_name) or direction}")
-    if exclude_degenerate and flag is not None:
-        eligible &= ~flag
+    if exclude_degenerate:
+        eligible &= ~degenerate_rows(table, [column_name], [direction])
     if not eligible.any():
         warnings.warn("all journals are degenerate or missing; ranking is empty")
-        return []
-    masked = np.where(eligible, values, np.nan)
+    masked = np.where(eligible, values, np.nan)  # ranked after every eligible journal
     ranks = rank_column(masked, order=_indicator_of(column_name).order)
+    top = np.argsort(ranks, kind="stable")[: min(top_n, np.count_nonzero(eligible))]
+    shown = np.sqrt(values) if sqrt_values else values
 
-    order = np.argsort(ranks, kind="stable")
-    rows: list[RankedRow] = []
-    for idx in order:
-        if not eligible[idx]:
-            continue
-        if len(rows) >= top_n:
-            break
-        value = float(values[idx])
-        rows.append(
-            RankedRow(
-                rank=len(rows) + 1,
-                journal_id=table.journal_ids[idx],
-                name=table.names[idx],
-                value=np.sqrt(value) if sqrt_values else value,
-            )
-        )
+    def row(i: int, rank: int, appended: bool = False) -> RankedRow:
+        return RankedRow(rank, table.journal_ids[i], table.names[i], float(shown[i]), appended)
+
+    rows = [row(i, k + 1) for k, i in enumerate(top)]
     if append_journal is not None:
         target = _find_row(table, append_journal)
         if target is None:
             raise DataError(f"journal to append not found: {append_journal!r}")
-        if not any(r.journal_id == table.journal_ids[target] and not r.appended for r in rows):
-            value = float(values[target])
-            rows.append(
-                RankedRow(
-                    rank=int(round(ranks[target])) if eligible[target] else 0,
-                    journal_id=table.journal_ids[target],
-                    name=table.names[target],
-                    value=np.sqrt(value) if sqrt_values and not np.isnan(value) else value,
-                    appended=True,
-                )
-            )
+        if target not in top:
+            rows.append(row(target, int(round(ranks[target])) if eligible[target] else 0, True))
     return rows
 
 
 def _find_row(table: IndicatorTable, name: str) -> int | None:
-    from .corpus import canonical_name
-
     wanted = canonical_name(name)
     for i, journal in enumerate(table.names):
         if canonical_name(journal) == wanted:

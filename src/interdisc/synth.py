@@ -304,17 +304,12 @@ def write_corpus(
 ) -> None:
     """Write the edge-list CSV and the ground-truth JSON."""
     order = np.lexsort((corpus.cited, corpus.citing))
+    names = np.asarray(corpus.names, dtype=object)
+    citing, cited = names[corpus.citing[order]], names[corpus.cited[order]]
     with file_errors(edges_path), open(edges_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["citing", "cited", "count"])
-        for idx in order:
-            writer.writerow(
-                [
-                    corpus.names[corpus.citing[idx]],
-                    corpus.names[corpus.cited[idx]],
-                    int(corpus.counts[idx]),
-                ]
-            )
+        writer.writerows(zip(citing, cited, corpus.counts[order].tolist()))
     clusters: dict[str, list[str]] = {}
     for jid, c in enumerate(corpus.cluster_of):
         if c >= 0:

@@ -99,6 +99,20 @@ class TestBruteForceEquivalence:
             assert np.allclose(fwd, brute_betweenness(adj, directed=True), atol=1e-9)
 
 
+class HeldAtFirstBatch:
+    """A share's stop flag; its first check waits for the flag to be set, and
+    every check appends what it saw to `checks`."""
+
+    def __init__(self, stop, checks: list):
+        self.stop, self.checks = stop, checks
+
+    def is_set(self):
+        if not self.checks:
+            self.stop.wait(timeout=30)
+        self.checks.append(self.stop.is_set())
+        return self.checks[-1]
+
+
 class TestDeterminismAndJobs:
     def test_repeated_runs_identical(self):
         rng = np.random.default_rng(23)
@@ -144,24 +158,11 @@ class TestDeterminismAndJobs:
         graph = graph_from_dense(rng.random((150, 150)) < 0.05, directed=True)
         assert not runs_dense(graph)
         checks = []  # what share 0 saw at each per-batch check of the stop flag
-
-        class HeldAtFirstBatch:
-            """Share 0's stop flag; its first check waits for the flag to be set."""
-
-            def __init__(self, stop):
-                self.stop = stop
-
-            def is_set(self):
-                if not checks:
-                    self.stop.wait(timeout=30)
-                checks.append(self.stop.is_set())
-                return checks[-1]
-
         dependencies = centrality._dependencies
 
         def share(adj, adj_t, batches, stop):
             if batches[0][0] == 0:
-                return dependencies(adj, adj_t, batches, HeldAtFirstBatch(stop))
+                return dependencies(adj, adj_t, batches, HeldAtFirstBatch(stop, checks))
             if failure == "share":
                 raise RuntimeError("share 1 failed")
             return dependencies(adj, adj_t, batches, stop)
@@ -174,6 +175,27 @@ class TestDeterminismAndJobs:
             monkeypatch.setattr(centrality, "wait", interrupted)
         with pytest.raises(RuntimeError if failure == "share" else KeyboardInterrupt):
             betweenness(graph, jobs=2, batch_size=1)
+        assert checks == [True]
+
+    @pytest.mark.parametrize("p, jobs", [(0.05, 1), (0.2, 3)], ids=["sparse-jobs-1", "dense"])
+    def test_a_single_share_stops_when_the_caller_is_interrupted(self, monkeypatch, p, jobs):
+        # jobs=1 and dense graphs run one share, through the same stop flag
+        rng = np.random.default_rng(24)
+        graph = graph_from_dense(rng.random((150, 150)) < p, directed=True)
+        assert runs_dense(graph) == (p == 0.2)
+        checks = []
+        dependencies = centrality._dependencies
+
+        def share(adj, adj_t, batches, stop):
+            return dependencies(adj, adj_t, batches, HeldAtFirstBatch(stop, checks))
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(centrality, "_dependencies", share)
+        monkeypatch.setattr(centrality, "wait", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            betweenness(graph, jobs=jobs, batch_size=1)
         assert checks == [True]
 
     def test_batch_size_does_not_change_results_beyond_tolerance(self):

@@ -12,6 +12,7 @@ from interdisc.cli import DEFAULT_CORRELATE_COLUMNS, DEFAULT_FACTOR_COLUMNS, mai
 from interdisc.corpus import load_edge_list
 from interdisc.errors import UsageError
 from interdisc.pipeline import INDICATORS, RunConfig, compute_indicator_table, file_digest
+from interdisc.stats import IndicatorTable
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -264,6 +265,50 @@ class TestRankCommand:
             assert run(["rank", *argv, "--edges", edges, "--outdir", out]) == 0
             listed.append([r[2] for r in data_lines(out / f"ranking_{argv[0]}.csv")])
         assert listed == [["A", "D"], ["A", "D"]]
+
+    @pytest.mark.parametrize(
+        "name, code, listed", [("A", 0, [["0", "0", "A", "0", "1"]]), ("NOPE", 2, None)]
+    )
+    def test_append_journal_below_an_empty_ranking(self, tmp_path, name, code, listed):
+        # A and B each have one citer and C only cites itself: no journal ranks
+        edges = tmp_path / "e.csv"
+        edges.write_text("citing,cited,count\nA,B,2\nB,A,3\nC,C,1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["rank", "entropy", "--edges", edges, "--outdir", out, "--append-journal", name]
+        with pytest.warns(UserWarning, match="degenerate"):
+            assert run(argv) == code
+        path = out / "ranking_entropy.csv"
+        assert (data_lines(path) if path.exists() else None) == listed
+
+
+class TestDegenerateRows:
+    """`degenerate_rows` marks the rows degenerate in a direction the columns use."""
+
+    @staticmethod
+    def rows(*args) -> list:
+        return pipeline.degenerate_rows(*args).tolist()
+
+    @staticmethod
+    def table(**flags) -> IndicatorTable:
+        table = IndicatorTable([0, 1, 2], ["A", "B", "C"])
+        for direction, flag in flags.items():
+            table.add_flag(f"degenerate_{direction}", flag)
+        return table
+
+    def test_a_column_naming_a_direction_uses_that_directions_flag(self):
+        table = self.table(cited=[True, False, False], citing=[False, True, False])
+        assert self.rows(table, ["entropy_citing"], ["cited"]) == [0, 1, 0]
+        assert self.rows(table, ["gini_cited"], ["citing"]) == [1, 0, 0]
+
+    def test_a_column_naming_none_uses_every_given_direction(self):
+        table = self.table(cited=[True, False, False], citing=[False, True, False])
+        assert self.rows(table, ["total_cites"], ["cited"]) == [1, 0, 0]
+        assert self.rows(table, ["total_cites"], ["cited", "citing"]) == [1, 1, 0]
+
+    def test_a_direction_the_table_did_not_compute_marks_no_row(self):
+        table = self.table(cited=[True, False, False])
+        assert self.rows(table, ["entropy_citing"], ["cited"]) == [0, 0, 0]
+        assert self.rows(table, ["impact_factor"], ["cited", "citing"]) == [1, 0, 0]
 
 
 class TestCorrelateAndFactor:

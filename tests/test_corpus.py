@@ -285,6 +285,28 @@ class TestMetadata:
         with pytest.raises(MetadataConflictError):
             load_metadata(meta, registry)
 
+    @pytest.mark.parametrize(
+        "header",
+        ["A,LIS", "name,category,total_cites,impact_factor,immediacy,extra", "category,name", ""],
+    )
+    def test_header_that_is_not_a_leading_run_of_the_fields_is_parse_error(
+        self, tmp_path, corpus3, header
+    ):
+        registry, _ = corpus3
+        meta = write(tmp_path, "m.csv", f"{header}\nB,PHYS\n")
+        with pytest.raises(ParseError, match="line 1: expected a header"):
+            load_metadata(meta, registry)
+        assert all(e.category is None for e in registry.entries)
+
+    @pytest.mark.parametrize(
+        "header", ["name", " Name , CATEGORY", "\ufeffname,category,total_cites"]
+    )
+    def test_header_of_any_leading_run_loads(self, tmp_path, corpus3, header):
+        registry, _ = corpus3
+        meta = write(tmp_path, "m.csv", f"{header}\nA,LIS\n")
+        assert load_metadata(meta, registry) == 0
+        assert registry.entries[registry.id_of("A")].category == "LIS"
+
     def test_category_subset_of_61(self, tmp_path):
         n = 100
         rows = "\n".join(f"X,J{k},1" for k in range(n))

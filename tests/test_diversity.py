@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sparse_counts
-from interdisc.corpus import CitationMatrix, Direction
+from interdisc.corpus import CitationMatrix, Direction, load_edge_list
 from interdisc.diversity import diversity_all, rao_stirling
 from interdisc.errors import ContractError
 from interdisc.netspace import distance_matrix
@@ -175,6 +175,28 @@ class TestDiversityAll:
         explicit = np.sqrt(((q[:, None, :] - q[None, :, :]) ** 2).sum(axis=-1))
         for r in results:
             assert r.d_value == pytest.approx(naive_rao(q[r.journal_id], explicit), abs=1e-15)
+
+    def test_pair_whose_gram_form_cancels_to_exactly_zero_is_recomputed(self, tmp_path):
+        # d(A, B)^2 = |q_A|^2 + |q_B|^2 - 2 q_A.q_B rounds to exactly 0 here, where
+        # the true distance is 7.07e-9; C's diversity is half of it
+        edges = tmp_path / "e.csv"
+        edges.write_text(
+            "citing,cited,count\nD,A,100000000\nE,A,100000001\nD,B,100000001\n"
+            "E,B,100000000\nA,C,1\nB,C,1\n",
+            encoding="utf-8",
+        )
+        registry, m = load_edge_list(edges)
+        dist = distance_matrix(m, Direction.CITED, "relative_euclidean")
+        axis = m.axis_matrix(Direction.CITED)
+        c = registry.id_of("C")
+        for r in diversity_all(m, Direction.CITED, "relative_euclidean"):
+            lo, hi = axis.indptr[r.journal_id], axis.indptr[r.journal_id + 1]
+            ids = axis.indices[lo:hi]
+            p = axis.data[lo:hi] / axis.data[lo:hi].sum()
+            want = naive_rao(p, dist[np.ix_(ids, ids)]) if ids.size else 0.0
+            assert abs(r.d_value - want) <= 1e-12
+            if r.journal_id == c:
+                assert r.d_value == pytest.approx(3.53553385e-09, rel=1e-8)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(46)
