@@ -71,11 +71,12 @@ class JournalRegistry:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def add(self, name: str) -> int:
-        """Return the id for `name`, registering it on first appearance."""
+    def add(self, name: str, line: int | None = None) -> int:
+        """Return the id for `name`, registering it on first appearance; an
+        empty name is a `ParseError` on input line `line`."""
         key = canonical_name(name)
         if not key:
-            raise ParseError("empty journal name")
+            raise ParseError("empty journal name", line)
         jid = self._by_canonical.get(key)
         if jid is None:
             jid = len(self.entries)
@@ -197,8 +198,8 @@ def load_edge_list(
                 raise ParseError(f"expected 3 fields, got {len(row)}", lineno)
             citing_name, cited_name, count_text = row
             counts.append(_read_count(count_text, lineno))
-            citing_ids.append(registry.add(citing_name))
-            cited_ids.append(registry.add(cited_name))
+            citing_ids.append(registry.add(citing_name, lineno))
+            cited_ids.append(registry.add(cited_name, lineno))
     if not counts:
         raise EmptyCorpusError(f"{path}: no citation rows")
     matrix = CitationMatrix(len(registry), cited_ids, citing_ids, counts)
@@ -284,8 +285,9 @@ def _optional_float(text: str, line: int) -> float | None:
 def load_metadata(path: str | Path, registry: JournalRegistry) -> int:
     """Attach `name,category,total_cites,impact_factor,immediacy` metadata.
 
-    The header names the file's fields, a leading run of those five; trailing
-    fields are optional.  Names that do not match any registry entry
+    The header names the file's fields, a leading run of those five; a row
+    may leave out trailing fields but not hold more than the header, and
+    its name must not be empty.  Names that do not match any registry entry
     are counted and skipped, not fatal; the count of unmatched rows is
     returned.  Two rows for the same journal raise a conflict error.
     """
@@ -306,10 +308,12 @@ def load_metadata(path: str | Path, registry: JournalRegistry) -> int:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if not 1 <= len(row) <= 5:
-                raise ParseError(f"expected 1-5 fields, got {len(row)}", lineno)
+            if len(row) > len(header):
+                raise ParseError(f"expected at most {len(header)} fields, got {len(row)}", lineno)
             name = row[0]
             key = canonical_name(name)
+            if not key:
+                raise ParseError("empty journal name", lineno)
             if key in seen:
                 raise MetadataConflictError(
                     f"line {lineno}: duplicate metadata for journal {name!r}"

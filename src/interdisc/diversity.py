@@ -20,12 +20,7 @@ import scipy.sparse as sp
 
 from .corpus import CitationMatrix, Direction
 from .errors import ContractError, EmptyCorpusError, UndefinedIndicatorError
-from .netspace import (
-    CANCELLATION_RATIO,
-    _l1_normalize_rows,
-    _l2_normalize_rows,
-    _undo_cancellation,
-)
+from .netspace import _l1_normalize_rows, _l2_normalize_rows, _relative_euclidean
 
 # Journals per block when evaluating the per-journal quadratic forms; bounds
 # the size of the intermediate sparse products.
@@ -205,9 +200,8 @@ def _all_euclidean_pairs(axis: sp.csr_matrix, p_def: sp.csr_matrix) -> np.ndarra
     explicitly, but only on the unordered pairs a < b that share some
     journal's distribution (the strict upper triangle of B^T B for the pattern
     B of `p_def`); d is symmetric, so each form is twice its upper-triangle
-    part.  Pairs whose d^2 cancels to below CANCELLATION_RATIO of
-    |q_a|^2 + |q_b|^2, exactly 0 included, are recomputed from their
-    differences.
+    part.  `netspace._relative_euclidean` turns the squares into distances,
+    recomputing those that cancel, exactly 0 included, from the differences.
     """
     prob, _ = _l1_normalize_rows(axis)
     pattern = p_def.astype(bool).astype(np.int32)
@@ -219,12 +213,8 @@ def _all_euclidean_pairs(axis: sp.csr_matrix, p_def: sp.csr_matrix) -> np.ndarra
         (sq[row_of] + sq[pairs.indices], pairs.indices, pairs.indptr), shape=pairs.shape
     )
     dist = (sq_sums - 2.0 * pairs.multiply(prob.dot(prob.T))).tocsr()
-    if dist.nnz < pairs.nnz:  # pairs that cancel to exactly 0 were dropped: -1 marks them
-        dist = dist - (pairs - pairs.multiply(dist.astype(bool)))  # for the repair below
-    near = np.flatnonzero(dist.data <= 2 * CANCELLATION_RATIO * sq.max())
-    rows = np.searchsorted(dist.indptr, near, side="right") - 1
-    cols = dist.indices[near]
-    dist.data[near] = _undo_cancellation(prob, sq, rows, cols, dist.data[near])
-    np.clip(dist.data, 0.0, None, out=dist.data)
-    np.sqrt(dist.data, out=dist.data)
+    if dist.nnz < pairs.nnz:  # pairs that cancel to exactly 0 were dropped: -1 marks
+        dist = dist - (pairs - pairs.multiply(dist.astype(bool)))  # them for the kernel
+    # every pair is stored again, so dist has the rows of pairs
+    _relative_euclidean(prob, sq, row_of, dist.indices, dist.data)
     return 2.0 * _row_quadratic_forms(p_def, dist)

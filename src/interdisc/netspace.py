@@ -10,9 +10,12 @@ exclude rather than treat as maximal.
 Cosine similarities are a float64 CSR matrix and co-occurrence counts an
 int64 CSR matrix; neither is ever densified.  Only distance matrices are
 plain n x n float64 arrays, since a distance is nonzero wherever the
-vectors differ.  The indicator pipeline builds a cosine matrix only for a
-nonzero cosine threshold: betweenness otherwise binarizes the
-co-occurrence support, and diversity works from sparse Gram matrices.
+vectors differ; the relative-Euclidean builder makes no other n x n array.
+`_relative_euclidean` is the one kernel that turns Gram-form squares into
+distances, here and in `diversity`.  The indicator pipeline builds a
+cosine matrix only for a nonzero cosine threshold: betweenness otherwise
+binarizes the co-occurrence support, and diversity works from sparse Gram
+matrices.
 """
 
 from __future__ import annotations
@@ -34,20 +37,23 @@ from .errors import CountOverflowError, EmptyCorpusError, UndefinedIndicatorErro
 CANCELLATION_RATIO = 1e-3
 
 
-def _undo_cancellation(
+def _relative_euclidean(
     q: sp.csr_matrix, sq: np.ndarray, rows: np.ndarray, cols: np.ndarray, d2: np.ndarray
 ) -> np.ndarray:
-    """Gram-form squared distances `d2` of the pairs (rows[k], cols[k]) of
-    rows of `q` (squared norms `sq`), with every one below CANCELLATION_RATIO
-    of its scale recomputed from the differences themselves.
+    """Distances between the rows (rows[k], cols[k]) of `q`, whose squared
+    norms are `sq`, from their Gram-form squares `d2` = |q_a|^2 + |q_b|^2 -
+    2 q_a.q_b, written over `d2` in place and returned.
 
-    Callers pass a superset of those pairs: the ones with d2 at most
-    2 * CANCELLATION_RATIO * sq.max(), found without gathering every scale.
+    Every square below CANCELLATION_RATIO of its scale |q_a|^2 + |q_b|^2 is
+    recomputed from the difference of the rows; the scales are gathered only
+    for the squares at most 2 * CANCELLATION_RATIO * sq.max().
     """
-    redo = d2 <= CANCELLATION_RATIO * (sq[rows] + sq[cols])
+    near = np.flatnonzero(d2 <= 2 * CANCELLATION_RATIO * sq.max())
+    redo = near[d2[near] <= CANCELLATION_RATIO * (sq[rows[near]] + sq[cols[near]])]
     diff = q[rows[redo]] - q[cols[redo]]
     d2[redo] = np.asarray(diff.multiply(diff).sum(axis=1)).ravel()
-    return d2
+    np.clip(d2, 0.0, None, out=d2)
+    return np.sqrt(d2, out=d2)
 
 
 def _l2_normalize_rows(m: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -186,14 +192,14 @@ def distance_matrix(
         np.subtract(1.0, dense, out=dense)
     elif metric == "relative_euclidean":
         prob, _ = _l1_normalize_rows(vectors)
-        sq_norms = np.asarray(prob.multiply(prob).sum(axis=1)).ravel()
-        gram = np.asarray(prob.dot(prob.T).todense())
-        np.clip(gram, 0.0, None, out=gram)
-        d2 = sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram
-        rows, cols = np.nonzero(d2 <= 2 * CANCELLATION_RATIO * sq_norms.max())
-        d2[rows, cols] = _undo_cancellation(prob, sq_norms, rows, cols, d2[rows, cols])
-        np.clip(d2, 0.0, None, out=d2)
-        dense = np.sqrt(d2)
+        sq = np.asarray(prob.multiply(prob).sum(axis=1)).ravel()
+        # |a|^2 + |b|^2 is the exact square of every orthogonal pair, so only
+        # the Gram product's support needs the kernel
+        gram = prob.dot(prob.T).tocoo()
+        d2 = sq[gram.row] + sq[gram.col] - 2.0 * gram.data
+        dense = np.add.outer(sq, sq)
+        np.sqrt(dense, out=dense)
+        dense[gram.row, gram.col] = _relative_euclidean(prob, sq, gram.row, gram.col, d2)
     else:
         raise UndefinedIndicatorError(f"unknown distance metric: {metric!r}")
     undef = np.diff(vectors.indptr) == 0

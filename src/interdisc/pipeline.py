@@ -305,11 +305,7 @@ def scope_table(
 
 
 def format_value(x: float) -> str:
-    if x is None or (isinstance(x, float) and np.isnan(x)):
-        return ""
-    if isinstance(x, float):
-        return f"{x:.9g}"
-    return str(x)
+    return "" if np.isnan(x) else f"{x:.9g}"
 
 
 @contextmanager

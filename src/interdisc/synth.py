@@ -219,14 +219,12 @@ def generate(spec: SyntheticSpec) -> SyntheticCorpus:
     cluster_journals = np.flatnonzero(cluster_of_arr >= 0)
     if k > 1 and spec.leakage_rate > 0 and cluster_journals.size:
         hit = rng.random((cluster_journals.size, k)) < spec.leakage_rate
-        offsets = rng.integers(0, np.asarray(spec.cluster_sizes), size=(cluster_journals.size, k))
-        for idx, j in enumerate(cluster_journals):
-            home = cluster_of_arr[j]
-            for c in range(k):
-                if c == home or not hit[idx, c]:
-                    continue
-                target = int(cluster_members[c][offsets[idx, c]])
-                emit([target], [j], [1])
+        sizes = np.asarray(spec.cluster_sizes)
+        offsets = rng.integers(0, sizes, size=(cluster_journals.size, k))
+        hit[np.arange(cluster_journals.size), cluster_of_arr[cluster_journals]] = False
+        idx, c = np.nonzero(hit)
+        first_member = np.cumsum(sizes) - sizes
+        emit(first_member[c] + offsets[idx, c], cluster_journals[idx], np.ones(idx.size))
 
     # Bridges: cited by and citing every cluster, scaled by allocation.
     # Their counts are flat (no evenness mixing): bridging means even spread.

@@ -345,6 +345,7 @@ def test_criterion_11_determinism(tmp_path):
     _report(11, "two identical pipeline runs produced byte-identical CSV/JSON reports")
 
 
+@pytest.mark.slow
 def test_criterion_10_scale(tmp_path):
     jobs = min(8, os.cpu_count() or 1)
     spec = uniform_spec(

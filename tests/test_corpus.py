@@ -96,6 +96,12 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="positive"):
             load_edge_list(nonpositive)
 
+    @pytest.mark.parametrize("row", [",C,1", "C, ,1"])
+    def test_empty_journal_name_names_its_line(self, tmp_path, row):
+        path = write(tmp_path, "e.csv", f"citing,cited,count\nA,B,2\n{row}\n")
+        with pytest.raises(ParseError, match="^line 3: empty journal name$"):
+            load_edge_list(path)
+
     def test_empty_file(self, tmp_path):
         empty = write(tmp_path, "e.csv", "")
         with pytest.raises(EmptyCorpusError):
@@ -303,9 +309,25 @@ class TestMetadata:
     )
     def test_header_of_any_leading_run_loads(self, tmp_path, corpus3, header):
         registry, _ = corpus3
-        meta = write(tmp_path, "m.csv", f"{header}\nA,LIS\n")
+        fields = len(header.split(","))
+        meta = write(tmp_path, "m.csv", f"{header}\n" + ",".join(["A", "LIS", "100"][:fields]) + "\n")
         assert load_metadata(meta, registry) == 0
-        assert registry.entries[registry.id_of("A")].category == "LIS"
+        entry = registry.entries[registry.id_of("A")]
+        assert entry.category == ("LIS" if fields > 1 else None)
+        assert entry.total_cites == (100 if fields > 2 else None)
+
+    def test_row_wider_than_its_header_is_parse_error(self, tmp_path, corpus3):
+        registry, _ = corpus3
+        meta = write(tmp_path, "m.csv", "name\nB\nA,LIS\n")
+        with pytest.raises(ParseError, match="^line 3: expected at most 1 fields, got 2$"):
+            load_metadata(meta, registry)
+        assert all(e.category is None for e in registry.entries)
+
+    def test_row_with_empty_name_is_parse_error(self, tmp_path, corpus3):
+        registry, _ = corpus3
+        meta = write(tmp_path, "m.csv", "name,category\nA,LIS\n ,PHYS\n")
+        with pytest.raises(ParseError, match="^line 3: empty journal name$"):
+            load_metadata(meta, registry)
 
     def test_category_subset_of_61(self, tmp_path):
         n = 100

@@ -26,6 +26,25 @@ def matrix_from_dense(dense) -> CitationMatrix:
     return CitationMatrix(dense.shape[0], rows, cols, dense[rows, cols].astype(np.int64))
 
 
+def three_cites_each(n: int) -> CitationMatrix:
+    """n journals, each citing 3 at random: a few thousandths of the n^2
+    pairs share a vector entry on either axis."""
+    rng = np.random.default_rng(17)
+    citing = np.repeat(np.arange(n), 3)
+    cited = rng.integers(0, n, size=citing.size)
+    return CitationMatrix(n, cited, citing, rng.integers(1, 20, size=citing.size))
+
+
+def traced_peak(f, *args) -> int:
+    """Peak bytes `tracemalloc` sees allocated during f(*args)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCosine:
     def test_identical_rows(self):
         m = matrix_from_dense([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
@@ -154,20 +173,10 @@ class TestSparseCosine:
         assert (tmp_path / "sparse.mtx").read_bytes() == (tmp_path / "dense.mtx").read_bytes()
 
     def test_no_dense_allocation(self, axis):
-        # each journal cites 3 others, so the cosine matrix has a few
-        # thousandths of its n^2 cells filled; a dense one takes 8 n^2 bytes
-        n = 3000
-        rng = np.random.default_rng(17)
-        citing = np.repeat(np.arange(n), 3)
-        cited = rng.integers(0, n, size=citing.size)
-        m = CitationMatrix(n, cited, citing, rng.integers(1, 20, size=citing.size))
-        tracemalloc.start()
-        try:
-            cosine_matrix(m, axis)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * n * n / 4
+        # the cosine matrix has a few thousandths of its n^2 cells filled; a
+        # dense one takes 8 n^2 bytes
+        m = three_cites_each(3000)
+        assert traced_peak(cosine_matrix, m, axis) < 8 * m.n * m.n / 4
 
 
 class TestCooccurrence:
@@ -309,6 +318,13 @@ class TestProbabilityNormalize:
 
 
 class TestDistanceMatrix:
+    @pytest.mark.parametrize("axis", [Direction.CITED, Direction.CITING])
+    def test_relative_euclidean_holds_one_dense_array(self, axis):
+        # the n x n result takes 8 n^2 bytes; the Gram product stays sparse
+        m = three_cites_each(3000)
+        peak = traced_peak(distance_matrix, m, axis, "relative_euclidean")
+        assert peak < 1.5 * 8 * m.n * m.n
+
     def test_same_distribution_different_size(self):
         m = matrix_from_dense([[1, 2, 0], [10, 20, 0], [0, 0, 3]])
         for metric in ("one_minus_cosine", "relative_euclidean"):
