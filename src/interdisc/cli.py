@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: indicators, rank, correlate, factor, subset, synth,
-export-matrix.  `indicators` and `subset` compute every indicator; `rank`,
-`correlate` and `factor` compute only the columns they report.  Options may
-come from a JSON config file (--config); command line flags override the
-file.  Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
+export-matrix.  Each takes only the flags it reads.  `indicators` and
+`subset` compute the indicators of --directions and --metrics; `rank`,
+`correlate` and `factor` compute exactly the columns they report.  One JSON
+config file (--config) serves every command; flags override it.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 Every failure is an `InterdiscError`, printed as one line on stderr; a file
 that cannot be read or written is a data error that names it.
 """
@@ -17,7 +18,7 @@ import math
 import sys
 from pathlib import Path
 
-from .corpus import SubsetMode
+from .corpus import Direction, SubsetMode
 from .errors import DataError, InterdiscError, UsageError, file_errors
 from .netspace import cooccurrence, cosine_matrix, distance_matrix, export_matrix_market
 from .pipeline import (
@@ -67,18 +68,25 @@ class Parser(argparse.ArgumentParser):
 
 
 def _add_input_options(p: argparse.ArgumentParser) -> None:
+    """The options of every command that loads a corpus."""
     p.add_argument("--edges", help="edge-list CSV with header citing,cited,count")
     p.add_argument("--matrix-market", help="square integer Matrix Market file")
     p.add_argument("--names", dest="names_file", help="sidecar name file for --matrix-market")
-    p.add_argument("--metadata", help="metadata CSV: name,category,total_cites,impact_factor,immediacy")
     p.add_argument("--min-count", type=int, help="drop cells with summed count below this")
-
-
-def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with RunConfig fields; flags override")
+    p.add_argument("--jobs", type=int,
+                   help="worker threads for betweenness on sparse graphs (dense graphs "
+                        "use the BLAS threads); no effect on export-matrix")
+
+
+def _add_run_options(p: argparse.ArgumentParser, scope: bool) -> None:
+    """`scope` adds --directions and --metrics, which only the full table reads."""
+    _add_input_options(p)
+    p.add_argument("--metadata", help="metadata CSV: name,category,total_cites,impact_factor,immediacy")
     p.add_argument("--outdir", help="output directory (default: out)")
-    p.add_argument("--directions", help="comma-separated subset of cited,citing")
-    p.add_argument("--metrics", help="comma-separated subset of one_minus_cosine,relative_euclidean")
+    if scope:
+        p.add_argument("--directions", help="comma-separated subset of cited,citing")
+        p.add_argument("--metrics", help="comma-separated subset of one_minus_cosine,relative_euclidean")
     p.add_argument("--cosine-threshold", type=float,
                    help="binarize cosine strictly above this, in [0, 1) (default 0)")
     p.add_argument("--gini-include-zeros", action="store_true", default=None,
@@ -87,13 +95,9 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                    help="sum diversity over the lower triangle only (halves values)")
     p.add_argument("--exclude-self-citations-from-p", action="store_true", default=None,
                    help="drop the diagonal from diversity distributions (sensitivity)")
-    p.add_argument("--jobs", type=int,
-                   help="worker threads for betweenness on sparse graphs "
-                        "(dense graphs use the BLAS threads)")
 
 
 _LIST_FLAGS = ("directions", "metrics")  # comma-separated on the command line
-_CONFIG_FLAGS = [name for name in RunConfig.__dataclass_fields__ if name not in _LIST_FLAGS]
 
 
 def _split(text: str) -> list[str]:
@@ -122,14 +126,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         data = _read_json(args.config, "config file")
         if not isinstance(data, dict):
             raise UsageError(f"config file must hold a JSON object: {args.config}")
-    for name in _CONFIG_FLAGS:
+    for name in RunConfig.__dataclass_fields__:  # the flags a command has
         value = getattr(args, name, None)
         if value is not None:
-            data[name] = value
-    for name in _LIST_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            data[name] = _split(value)
+            data[name] = _split(value) if name in _LIST_FLAGS else value
     return RunConfig.from_dict(data)
 
 
@@ -189,26 +189,28 @@ def cmd_rank(args) -> int:
     return 0
 
 
-def _table_for_stats(args, config: RunConfig, default_columns: list[str]):
-    """The table of the --columns (else the defaults), without the rows
-    `degenerate_rows` finds for them under `config.directions`.  So the
-    default `factor`, whose columns are all cited-side, keeps journals
-    degenerate only when citing.
+def _table_for_stats(args, config: RunConfig, default_columns: list[str], fewest: int):
+    """The table of the --columns (else the defaults), at least `fewest` of
+    them, without the rows `degenerate_rows` finds for them; a column that
+    names no direction uses both.  So the default `factor`, whose columns
+    are all cited-side, keeps journals degenerate only when citing.
     """
     columns = _split(args.columns) if args.columns else default_columns
+    if len(columns) < fewest:
+        raise UsageError(f"{args.command} needs at least {fewest} --columns, not {len(columns)}")
     corpus = load_corpus(config)
     table = compute_indicator_table(corpus.matrix, corpus.registry, config, columns)
     missing = [c for c in columns if c not in table.columns]
     if missing:
         raise UsageError(f"unknown indicator columns: {missing}")
     if not args.include_degenerate:
-        table = table.select_rows(~degenerate_rows(table, columns, config.directions))
+        table = table.select_rows(~degenerate_rows(table, columns, [d.value for d in Direction]))
     return corpus, table, columns
 
 
 def cmd_correlate(args) -> int:
     config = resolve_config(args)
-    corpus, table, columns = _table_for_stats(args, config, DEFAULT_CORRELATE_COLUMNS)
+    corpus, table, columns = _table_for_stats(args, config, DEFAULT_CORRELATE_COLUMNS, 2)
     corr = spearman_matrix(table, columns)
     out = _outdir(config.outdir)
     write_correlations(
@@ -220,7 +222,7 @@ def cmd_correlate(args) -> int:
 
 def cmd_factor(args) -> int:
     config = resolve_config(args)
-    corpus, table, columns = _table_for_stats(args, config, DEFAULT_FACTOR_COLUMNS)
+    corpus, table, columns = _table_for_stats(args, config, DEFAULT_FACTOR_COLUMNS, 1)
     pca_result = pca(table, columns, config.factors_k)
     solution = varimax(pca_result.loadings)
     out = _outdir(config.outdir)
@@ -279,10 +281,10 @@ def _synth_spec_from_args(args) -> SyntheticSpec:
         if getattr(args, flag) < 0:
             raise UsageError(f"--{flag} must be at least 0, not {getattr(args, flag)}")
     if not (math.isfinite(args.generalist_volume) and args.generalist_volume >= 1.0):
-        raise DataError(
+        raise UsageError(
             f"--generalist-volume must be a finite number >= 1, not {args.generalist_volume}"
         )
-    return uniform_spec(
+    spec = uniform_spec(
         _int_list(args.clusters, "--clusters"),
         within_rate=args.within_rate,
         leakage_rate=args.leakage,
@@ -291,6 +293,11 @@ def _synth_spec_from_args(args) -> SyntheticSpec:
         generalist_volume=args.generalist_volume,
         seed=args.seed,
     )
+    try:
+        spec.validate()
+    except DataError as exc:  # the spec came from flag values
+        raise UsageError(str(exc)) from None
+    return spec
 
 
 def cmd_synth(args) -> int:
@@ -327,13 +334,11 @@ def build_parser() -> Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("indicators", help="compute all indicators and write reports")
-    _add_input_options(p)
-    _add_run_options(p)
+    _add_run_options(p, scope=True)
     p.set_defaults(func=cmd_indicators)
 
     p = sub.add_parser("rank", help="rank journals by one indicator")
-    _add_input_options(p)
-    _add_run_options(p)
+    _add_run_options(p, scope=False)
     p.add_argument("indicator", help="indicator column, e.g. gini or entropy")
     p.add_argument("--direction", default="cited", choices=["cited", "citing"])
     p.add_argument("--top", type=int, default=20)
@@ -343,23 +348,20 @@ def build_parser() -> Parser:
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("correlate", help="Spearman correlation matrix")
-    _add_input_options(p)
-    _add_run_options(p)
+    _add_run_options(p, scope=False)
     p.add_argument("--columns", help="comma-separated indicator columns")
     p.add_argument("--include-degenerate", action="store_true")
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("factor", help="PCA plus varimax-rotated component matrix")
-    _add_input_options(p)
-    _add_run_options(p)
+    _add_run_options(p, scope=False)
     p.add_argument("--columns", help="comma-separated indicator columns")
     p.add_argument("--include-degenerate", action="store_true")
     p.add_argument("-k", "--factors", dest="factors_k", type=int, help="factor count")
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("subset", help="indicators for a journal subset")
-    _add_input_options(p)
-    _add_run_options(p)
+    _add_run_options(p, scope=True)
     p.add_argument("--category", help="registry category to select")
     p.add_argument("--ids", help="comma-separated journal ids")
     p.add_argument(
@@ -383,7 +385,6 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("export-matrix", help="export a pairwise matrix as Matrix Market")
     _add_input_options(p)
-    _add_run_options(p)
     p.add_argument(
         "--kind",
         default="cosine",

@@ -20,6 +20,8 @@ matrices.
 
 from __future__ import annotations
 
+import io
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +37,9 @@ from .errors import CountOverflowError, EmptyCorpusError, UndefinedIndicatorErro
 # once it falls below this fraction of |a|^2 + |b|^2; for identical vectors it
 # leaves rounding noise that the square root lifts to ~1e-8.
 CANCELLATION_RATIO = 1e-3
+
+# rows of a dense matrix that `export_matrix_market` writes per mmwrite call
+EXPORT_BLOCK_ROWS = 256
 
 
 def _relative_euclidean(
@@ -209,16 +214,41 @@ def distance_matrix(
     return dense
 
 
+def _lower_cells(values: np.ndarray, start: int) -> np.ndarray:
+    """The cells `mmwrite` writes of rows [start, start + EXPORT_BLOCK_ROWS)
+    of a symmetric dense matrix: nonzero (NaN included) and on or below the
+    diagonal, over the columns up to the block's last row."""
+    stop = min(start + EXPORT_BLOCK_ROWS, len(values))
+    return (values[start:stop, :stop] != 0) & np.tri(stop - start, stop, start, dtype=bool)
+
+
 def export_matrix_market(values: np.ndarray | sp.spmatrix, path: str | Path) -> None:
     """Write a symmetric pairwise matrix in Matrix Market format.
 
-    A dense array or a sparse matrix is written as it is, without
-    densifying; an integer dtype gets the ``integer`` field, any other the
-    ``real`` field.  NaN (undefined) cells are written as-is so the gaps
-    stay visible to external tools.  A path that cannot be written is a data
-    error.
+    A sparse matrix is written as it is, in one `mmwrite` call; a dense
+    array in blocks of `EXPORT_BLOCK_ROWS` rows, so that no coordinate list
+    of all its cells is made, with the bytes of that one call.  An integer
+    dtype gets the ``integer`` field, any other the ``real`` field.  NaN
+    (undefined) cells are written as-is so the gaps stay visible to external
+    tools.  A path that cannot be written is a data error.
     """
     field = "integer" if np.issubdtype(values.dtype, np.integer) else "real"
     # mmwrite given a path name ignores a failed open and writes nothing
     with file_errors(path), open(path, "wb") as fh:
-        scipy.io.mmwrite(fh, sp.coo_matrix(values), field=field, symmetry="symmetric")
+        if sp.issparse(values):
+            scipy.io.mmwrite(fh, sp.coo_matrix(values), field=field, symmetry="symmetric")
+            return
+        n = len(values)
+        starts = range(0, n, EXPORT_BLOCK_ROWS)
+        nnz = sum(np.count_nonzero(_lower_cells(values, start)) for start in starts)
+        fh.write(f"%%MatrixMarket matrix coordinate {field} symmetric\n%\n{n} {n} {nnz}\n".encode())
+        for start in starts:
+            rows, cols = np.nonzero(_lower_cells(values, start))
+            rows += start
+            block = io.BytesIO()
+            coo = sp.coo_matrix((values[rows, cols], (rows, cols)), shape=values.shape)
+            scipy.io.mmwrite(block, coo, field=field, symmetry="general")
+            block.seek(0)
+            for _ in range(3):  # the block's own header: banner, comment, size
+                block.readline()
+            shutil.copyfileobj(block, fh)

@@ -230,9 +230,10 @@ def compute_indicator_table(
     """Indicators for all journals, columns suffixed by direction.
 
     Without `columns`, every catalogue indicator of `config.directions` (the
-    Rao-Stirling ones of `config.metrics`); with `columns`, only the families
-    those names need, each run once (raw betweenness once for both directions).
-    `support_*`, `degenerate_*` and the metadata columns are always added.
+    Rao-Stirling ones of `config.metrics`); with `columns`, exactly those
+    named, and `directions`/`metrics` do not apply.  Each family they need
+    runs once (raw betweenness once for both directions).  `support_*`,
+    `degenerate_*` and the metadata columns are always added.
 
     Journals with an empty vector in a direction get NaN in that direction's
     vector, size and diversity columns, 0 in its betweenness columns (a node
@@ -243,13 +244,16 @@ def compute_indicator_table(
     table = IndicatorTable(
         journal_ids=list(range(n)), names=[registry.name_of(j) for j in range(n)]
     )
+    directions = [d.value for d in Direction]
+    if columns is None:  # the full table
+        directions = list(dict.fromkeys(config.directions))
+        columns = [f"{i.name}_{d}" for d in directions for i in INDICATORS
+                   if not i.diversity or i.family in config.metrics]
     computed: dict[tuple, dict[str, np.ndarray]] = {}  # (family, direction) -> columns
-    for direction in map(Direction, dict.fromkeys(config.directions)):
+    for direction in map(Direction, directions):
         for indicator in INDICATORS:
             name, family = f"{indicator.name}_{direction.value}", indicator.family
-            if (indicator.diversity and family not in config.metrics) or (
-                columns is not None and name not in columns
-            ):
+            if name not in columns:
                 continue
             key = (family, None if family == "raw_betweenness" else direction)
             if key not in computed:

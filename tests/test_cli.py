@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from interdisc import centrality, pipeline
-from interdisc.cli import DEFAULT_CORRELATE_COLUMNS, DEFAULT_FACTOR_COLUMNS, main
+from interdisc.cli import DEFAULT_CORRELATE_COLUMNS, DEFAULT_FACTOR_COLUMNS, build_parser, main
 from interdisc.corpus import load_edge_list
 from interdisc.errors import UsageError
 from interdisc.pipeline import INDICATORS, RunConfig, compute_indicator_table, file_digest
@@ -495,38 +496,41 @@ class TestSynthCommand:
         truth = json.loads((out / "synth_truth.json").read_text())
         assert truth["bridges"][0]["name"] == "B0"
 
-    def test_infeasible_spec_is_data_error(self, tmp_path):
-        code = run(["synth", "--clusters", "0,5", "--outdir", tmp_path / "x"])
-        assert code == 2
-
     @pytest.mark.parametrize(
-        "args, spec, field",
+        "spec, field",
         [
-            pytest.param(["--clusters", "5,5", "--seed", "-1"], None, "seed", id="seed-flag"),
-            pytest.param([], {"seed": -2}, "seed", id="seed-spec"),
-            pytest.param([], {"cluster_sizes": [1.5, 3]}, "cluster_sizes", id="float-size"),
-            pytest.param([], {"evenness_range": [1]}, "evenness_range", id="evenness-one"),
-            pytest.param([], {"count_mean": -1}, "count_mean", id="count-mean"),
-            pytest.param(["--clusters", "5,5", "--generalists", "1",
-                          "--generalist-volume", "nan"], None, "volume", id="volume-nan"),
-            pytest.param(["--clusters", "5,5", "--generalist-volume", "inf"], None, "volume",
-                         id="volume-inf"),
-            pytest.param([], {"generalists": [{"name": "G", "allocation": [0.5, 0.5],
-                                               "volume": float("inf")}]},
+            pytest.param({"seed": -2}, "seed", id="seed-spec"),
+            pytest.param({"cluster_sizes": [1.5, 3]}, "cluster_sizes", id="float-size"),
+            pytest.param({"evenness_range": [1]}, "evenness_range", id="evenness-one"),
+            pytest.param({"count_mean": -1}, "count_mean", id="count-mean"),
+            pytest.param({"generalists": [{"name": "G", "allocation": [0.5, 0.5],
+                                           "volume": float("inf")}]},
                          "volume", id="volume-spec"),
-            pytest.param([], {"bridges": [{"name": "B", "allocation": [0.5, 0.5]},
-                                          {"name": "B", "allocation": [0.5, 0.5]}]},
+            pytest.param({"bridges": [{"name": "B", "allocation": [0.5, 0.5]},
+                                      {"name": "B", "allocation": [0.5, 0.5]}]},
                          "name", id="bridge-twice"),
-            pytest.param([], {"bridges": [{"name": " c00_j000", "allocation": [0.5, 0.5]}]},
+            pytest.param({"bridges": [{"name": " c00_j000", "allocation": [0.5, 0.5]}]},
                          "name", id="bridge-is-member"),
         ],
     )
-    def test_invalid_spec_is_data_error_naming_field(self, tmp_path, capsys, args, spec, field):
-        if spec is not None:
-            path = tmp_path / "spec.json"
-            path.write_text(json.dumps({"cluster_sizes": [5, 5], **spec}), encoding="utf-8")
-            args = ["--spec-json", path]
-        assert run(["synth", *args, "--outdir", tmp_path / "x"]) == 2
+    def test_invalid_spec_is_data_error_naming_field(self, tmp_path, capsys, spec, field):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"cluster_sizes": [5, 5], **spec}), encoding="utf-8")
+        assert run(["synth", "--spec-json", path, "--outdir", tmp_path / "x"]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            pytest.param(["--seed", "-1"], "seed", id="seed-flag"),
+            pytest.param(["--generalists", "1", "--generalist-volume", "nan"], "volume",
+                         id="volume-nan"),
+            pytest.param(["--generalist-volume", "inf"], "volume", id="volume-inf"),
+        ],
+    )
+    def test_invalid_flag_is_usage_error_naming_field(self, tmp_path, capsys, args, field):
+        assert run(["synth", "--clusters", "5,5", *args, "--outdir", tmp_path / "x"]) == 1
         assert field in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
@@ -583,6 +587,13 @@ class TestExportMatrix:
         dense = scipy.io.mmread(str(target)).toarray()
         scipy.io.mmwrite(str(by_path), sp.coo_matrix(dense), field="real", symmetry="symmetric")
         assert target.read_bytes() == by_path.read_bytes()
+
+    def test_jobs_is_accepted_and_changes_no_byte(self, edges_path, tmp_path):
+        # benchmark command lines give every command --jobs
+        argv = ["export-matrix", "--edges", edges_path, "--kind", "relative_euclidean"]
+        assert run([*argv, "--out", tmp_path / "one.mtx"]) == 0
+        assert run([*argv, "--jobs", "2", "--out", tmp_path / "two.mtx"]) == 0
+        assert (tmp_path / "one.mtx").read_bytes() == (tmp_path / "two.mtx").read_bytes()
 
     @pytest.mark.parametrize("axis", ["cited", "citing"])
     def test_every_kind(self, edges_path, tmp_path, axis):
@@ -681,10 +692,48 @@ class TestComputesOnlyWhatItReports:
             ["rank", "nonsense"],
             ["correlate", "--columns", "entropy_cited,nonsense"],
             ["factor", "--columns", "nonsense"],
+            ["correlate", "--columns", "entropy_cited"],
+            ["correlate", "--columns", ","],
+            ["factor", "--columns", ","],
         ],
     )
     def test_unknown_column_is_usage_error_before_betweenness(self, edges, tmp_path, command):
         assert run([*command, "--edges", edges, "--outdir", tmp_path / "o"]) == 1
+
+    def test_named_columns_ignore_directions_and_metrics(self, edges):
+        registry, matrix = load_edge_list(edges)
+        columns = ["rao_stirling_relative_euclidean_citing", "entropy_citing", "gini_cited"]
+        narrow = RunConfig(directions=("cited",), metrics=("one_minus_cosine",))
+        got = compute_indicator_table(matrix, registry, narrow, columns)
+        want = compute_indicator_table(matrix, registry, RunConfig(), columns)
+        assert set(columns) < set(got.columns) and got.columns.keys() == want.columns.keys()
+        for name, column in want.columns.items():
+            assert np.array_equal(got.column(name), column, equal_nan=True), name
+        assert sorted(got.flags) == ["degenerate_cited", "degenerate_citing"]
+        for name, flag in want.flags.items():
+            assert np.array_equal(got.flags[name], flag), name
+
+    @pytest.mark.parametrize(
+        "command, report",
+        [
+            (["rank", "entropy", "--direction", "citing"], "ranking_entropy.csv"),
+            (["correlate"], "correlations.csv"),
+        ],
+    )
+    def test_config_directions_and_metrics_leave_named_columns(
+        self, edges, tmp_path, command, report
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"directions": ["cited"], "metrics": []}), encoding="utf-8")
+        argv = [*command, "--edges", edges]
+        assert run([*argv, "--config", config, "--outdir", tmp_path / "narrow"]) == 0
+        assert run([*argv, "--outdir", tmp_path / "default"]) == 0
+        narrow, default = (data_lines(tmp_path / d / report) for d in ("narrow", "default"))
+        assert narrow and narrow == default
+        if command == ["correlate"]:
+            assert [row[0] for row in narrow[: len(DEFAULT_CORRELATE_COLUMNS)]] == (
+                DEFAULT_CORRELATE_COLUMNS
+            )
 
     def test_default_factor_runs_no_citing_family(self, edges, tmp_path, families_run):
         assert run(["factor", "--edges", edges, "--outdir", tmp_path / "o"]) == 0
@@ -746,17 +795,17 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command",
         [
-            ["indicators"],
-            ["rank", "entropy"],
-            ["correlate"],
-            ["factor"],
-            ["subset", "--ids", "0,1"],
+            ["indicators", "--outdir", "o"],
+            ["rank", "entropy", "--outdir", "o"],
+            ["correlate", "--outdir", "o"],
+            ["factor", "--outdir", "o"],
+            ["subset", "--ids", "0,1", "--outdir", "o"],
             ["export-matrix", "--out", "cos.mtx"],
         ],
     )
     def test_corpus_emptied_by_min_count_is_2(self, edges_path, tmp_path, monkeypatch, command):
         monkeypatch.chdir(tmp_path)
-        argv = [*command, "--edges", edges_path, "--min-count", "100", "--outdir", "o"]
+        argv = [*command, "--edges", edges_path, "--min-count", "100"]
         assert run(argv) == 2
         assert not (tmp_path / "o").exists() and not (tmp_path / "cos.mtx").exists()
 
@@ -902,10 +951,10 @@ class TestOptionValidation:
     @pytest.mark.parametrize(
         "command",
         [
-            ["indicators"],
-            ["rank", "entropy"],
-            ["correlate"],
-            ["subset", "--ids", "0,1"],
+            ["indicators", "--outdir", "o"],
+            ["rank", "entropy", "--outdir", "o"],
+            ["correlate", "--outdir", "o"],
+            ["subset", "--ids", "0,1", "--outdir", "o"],
             ["export-matrix", "--out", "cos.mtx"],
         ],
     )
@@ -913,10 +962,72 @@ class TestOptionValidation:
         self, edges_path, tmp_path, monkeypatch, capsys, command
     ):
         monkeypatch.chdir(tmp_path)
-        assert run([*command, "--edges", edges_path, "--outdir", "o", "-k", "4"]) == 1
+        assert run([*command, "--edges", edges_path, "-k", "4"]) == 1
         err = capsys.readouterr().err
         assert "unrecognized arguments: -k 4" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists() and not (tmp_path / "cos.mtx").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            *[
+                (["export-matrix", "--out", "x.mtx"], flag)
+                for flag in (
+                    ["--outdir", "o"],
+                    ["--directions", "cited"],
+                    ["--metrics", "one_minus_cosine"],
+                    ["--cosine-threshold", "0.5"],
+                    ["--gini-include-zeros"],
+                    ["--triangle-sum"],
+                    ["--exclude-self-citations-from-p"],
+                    ["--metadata", "meta.csv"],
+                )
+            ],
+            *[
+                ([*command, "--outdir", "o"], flag)
+                for command in (["rank", "entropy"], ["correlate"], ["factor"])
+                for flag in (["--directions", "cited"], ["--metrics", "one_minus_cosine"])
+            ],
+        ],
+    )
+    def test_flag_a_command_does_not_read_is_usage_error(
+        self, edges_path, tmp_path, monkeypatch, capsys, command, flag
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "meta.csv").write_text("name,category\nA,X\n", encoding="utf-8")
+        before = sorted(tmp_path.iterdir())
+        assert run([*command, "--edges", edges_path, *flag]) == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in err and "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_each_command_takes_the_options_it_reads(self):
+        corpus = ["-h", "--help", "--edges", "--matrix-market", "--names", "--min-count",
+                  "--config", "--jobs"]
+        run_options = corpus + ["--metadata", "--outdir", "--cosine-threshold",
+                                "--gini-include-zeros", "--triangle-sum",
+                                "--exclude-self-citations-from-p"]
+        scope = ["--directions", "--metrics"]
+        expected = {
+            "indicators": run_options + scope,
+            "rank": run_options + ["--direction", "--top", "--include-degenerate",
+                                   "--append-journal", "--sqrt"],
+            "correlate": run_options + ["--columns", "--include-degenerate"],
+            "factor": run_options + ["--columns", "--include-degenerate", "-k", "--factors"],
+            "subset": run_options + scope + ["--category", "--ids", "--mode"],
+            "synth": ["-h", "--help", "--clusters", "--within-rate", "--leakage", "--bridges",
+                      "--generalists", "--generalist-volume", "--seed", "--outdir",
+                      "--spec-json"],
+            "export-matrix": corpus + ["--kind", "--axis", "--out"],
+        }
+        (subparsers,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        surface = {
+            name: sorted(o for action in parser._actions for o in action.option_strings)
+            for name, parser in subparsers.choices.items()
+        }
+        assert surface == {name: sorted(options) for name, options in expected.items()}
 
     def test_nan_cosine_threshold_is_usage_error(self, edges_path, tmp_path):
         code = run(
@@ -1006,6 +1117,14 @@ class TestTypedErrors:
                          id="negative-bridges"),
             pytest.param(["synth", "--clusters", "4,4", "--generalists", "-2"], 1,
                          id="negative-generalists"),
+            pytest.param(["synth", "--clusters", "4,4", "--within-rate", "2"], 1,
+                         id="within-rate-above-one"),
+            pytest.param(["synth", "--clusters", "4,4", "--leakage", "-1"], 1,
+                         id="negative-leakage"),
+            pytest.param(["synth", "--clusters", "4,4", "--seed", "-1"], 1, id="negative-seed"),
+            pytest.param(["synth", "--clusters", "4,4", "--generalist-volume", "0.5"], 1,
+                         id="generalist-volume-below-one"),
+            pytest.param(["synth", "--clusters", "4,4,0"], 1, id="zero-cluster-size"),
             pytest.param(["indicators", "--edges", "{edges}", "--cosine-threshold", "-0.1"], 1,
                          id="cosine_threshold-negative"),
             pytest.param(["indicators", "--edges", "{edges}", "--cosine-threshold", "1"], 1,
@@ -1038,13 +1157,17 @@ class TestTracedRun:
 
     @pytest.mark.parametrize(
         "command",
-        [["indicators"], ["rank", "entropy"], ["export-matrix", "--kind", "cosine", "--out", "c.mtx"]],
+        [
+            ["indicators", "--outdir", "o"],
+            ["rank", "entropy", "--outdir", "o"],
+            ["export-matrix", "--kind", "cosine", "--out", "c.mtx"],
+        ],
     )
     def test_traced_command_runs(self, edges4_path, tmp_path, command):
         spans = tmp_path / "spans.json"
         proc = subprocess.run(
             [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans), *command,
-             "--edges", str(edges4_path), "--outdir", str(tmp_path / "o")],
+             "--edges", str(edges4_path)],
             env=src_env(), cwd=tmp_path, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -439,3 +440,34 @@ class TestExport:
         export_matrix_market(cos, path)
         back = scipy.io.mmread(str(path)).toarray()
         assert np.allclose(back, cos, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("field", ["real", "integer"])
+    def test_dense_row_blocks_write_the_one_call_bytes(self, tmp_path, n, field):
+        import scipy.io
+
+        # zeros, integer values, E-exponent values and (real) NaN rows and
+        # columns, across block edges
+        rng = np.random.default_rng(n)
+        values = rng.random((n, n)) * 1000
+        values[rng.random((n, n)) < 0.2] = 0.0
+        values[rng.random((n, n)) < 0.1] = 3.0
+        values[rng.random((n, n)) < 0.1] *= 1e-30
+        values[rng.random((n, n)) < 0.1] *= 1e12
+        if field == "integer":
+            values = values.astype(np.int64)
+        else:
+            undefined = rng.random(n) < 0.1
+            values[undefined] = values[:, undefined] = np.nan
+        values = np.tril(values) + np.tril(values, -1).T
+        export_matrix_market(values, tmp_path / "blocks.mtx")
+        with open(tmp_path / "one.mtx", "wb") as fh:
+            scipy.io.mmwrite(fh, sp.coo_matrix(values), field=field, symmetry="symmetric")
+        assert (tmp_path / "blocks.mtx").read_bytes() == (tmp_path / "one.mtx").read_bytes()
+
+    def test_dense_write_holds_no_coordinate_list(self):
+        # a coordinate list of all n^2 cells takes 16-24 bytes a cell beside
+        # the 8 n^2 bytes of the matrix; one row block takes a few MB
+        n = 3000
+        values = np.random.default_rng(21).random((n, n))
+        assert traced_peak(export_matrix_market, values, os.devnull) < 8 * n * n
