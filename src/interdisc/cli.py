@@ -6,13 +6,15 @@ export-matrix.  Each takes only the flags it reads.  `indicators` and
 `correlate` and `factor` compute exactly the columns they report.  One JSON
 config file (--config) serves every command; flags override it.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
-Every failure is an `InterdiscError`, printed as one line on stderr; a file
-that cannot be read or written is a data error that names it.
+Every failure is an `InterdiscError`, printed as one line on stderr.  A data
+error from an input file names the file, and the line for an error in one
+row; a file that cannot be read or written is a data error that names it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -114,10 +116,10 @@ def _int_list(text: str, flag: str) -> list[int]:
 def _read_json(path: str, what: str):
     with file_errors(path):
         text = Path(path).read_text(encoding="utf-8")
-    try:
-        return json.loads(text)
-    except ValueError as exc:
-        raise DataError(f"{path}: {what} is not valid JSON: {exc}") from None
+        try:
+            return json.loads(text)
+        except ValueError as exc:
+            raise DataError(f"{what} is not valid JSON: {exc}") from None
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -264,16 +266,17 @@ def cmd_subset(args) -> int:
 
 def _synth_spec_from_args(args) -> SyntheticSpec:
     if args.spec_json:
-        data = _read_json(args.spec_json, "spec file")
-        if not isinstance(data, dict):
-            raise DataError(f"spec file must hold a JSON object: {args.spec_json}")
-        try:
-            bridges = [BridgeSpec(**b) for b in data.pop("bridges", [])]
-            generalists = [GeneralistSpec(**g) for g in data.pop("generalists", [])]
-            spec = SyntheticSpec(bridges=bridges, generalists=generalists, **data)
-            spec.validate()
-        except TypeError as exc:  # an unknown or missing key, or a value of the wrong type
-            raise DataError(f"invalid spec file {args.spec_json}: {exc}") from None
+        with file_errors(args.spec_json):
+            data = _read_json(args.spec_json, "spec file")
+            if not isinstance(data, dict):
+                raise DataError("spec file must hold a JSON object")
+            try:
+                bridges = [BridgeSpec(**b) for b in data.pop("bridges", [])]
+                generalists = [GeneralistSpec(**g) for g in data.pop("generalists", [])]
+                spec = SyntheticSpec(bridges=bridges, generalists=generalists, **data)
+                spec.validate()
+            except TypeError as exc:  # an unknown or missing key, or a value of the wrong type
+                raise DataError(f"invalid spec file: {exc}") from None
         return spec
     if not args.clusters:
         raise UsageError("synth needs --clusters or --spec-json")
@@ -316,8 +319,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_export_matrix(args) -> int:
-    config = resolve_config(args)
-    corpus = load_corpus(config)
+    # a --config shared with other commands may name metadata the export never reads
+    corpus = load_corpus(dataclasses.replace(resolve_config(args), metadata=None))
     if args.kind == "cosine":
         values = cosine_matrix(corpus.matrix, args.axis)
     elif args.kind == "cooccurrence":

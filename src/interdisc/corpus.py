@@ -6,14 +6,16 @@ articles in journal j to articles in journal i, so row i is journal i's
 are journal self-citations and are kept.  Every matrix, whether loaded from
 an edge list or a Matrix Market file or cut out by `subset`, is built by the
 one constructor `CitationMatrix(n, rows, cols, counts)` from coordinate
-arrays.  The loaders open their files through `errors.file_errors`: a file
-that cannot be read, or whose text is not UTF-8, is a data error that names
-it.
+arrays.  Each loader reads and checks its file inside `errors.file_errors`,
+so every data error from an input file names the file (and its line, for an
+error in one row), and a file that cannot be read or is not UTF-8 text is a
+data error too.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -184,7 +186,7 @@ def load_edge_list(
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise EmptyCorpusError(f"{path}: empty file")
+            raise EmptyCorpusError("empty file")
         expected = ["citing", "cited", "count"]
         if [h.strip().casefold() for h in header] != expected:
             raise ParseError(
@@ -200,9 +202,9 @@ def load_edge_list(
             counts.append(_read_count(count_text, lineno))
             citing_ids.append(registry.add(citing_name, lineno))
             cited_ids.append(registry.add(cited_name, lineno))
-    if not counts:
-        raise EmptyCorpusError(f"{path}: no citation rows")
-    matrix = CitationMatrix(len(registry), cited_ids, citing_ids, counts)
+        if not counts:
+            raise EmptyCorpusError("no citation rows")
+        matrix = CitationMatrix(len(registry), cited_ids, citing_ids, counts)
     if min_count > 1:
         cells = matrix.tocsr().tocoo()
         keep = cells.data >= min_count
@@ -221,54 +223,45 @@ def load_matrix_market(
     Matrix Market format is rejected before scipy parses it: a truncated
     `array` file can crash scipy's reader.
     """
-    with file_errors(path), open(path, "rb") as fh:
-        banner = fh.readline(1024).decode("latin-1").casefold().split()
-    if banner[:3] != ["%%matrixmarket", "matrix", "coordinate"]:
-        raise ParseError(f"{path}: expected a '%%MatrixMarket matrix coordinate' banner")
-    try:
-        mat = scipy.io.mmread(str(path))
-    except Exception as exc:
-        raise ParseError(f"{path}: not a readable Matrix Market file ({exc})") from exc
-    mat = sp.coo_matrix(mat)
-    rows, cols = mat.shape
-    if rows != cols:
-        raise DimensionError(f"{path}: matrix is {rows}x{cols}, expected square")
-    data = np.asarray(mat.data)
-    if np.iscomplexobj(data):
-        raise ParseError(f"{path}: complex entries")
-    if data.size and data.min() < 0:
-        raise ParseError(f"{path}: negative entry {data.min()}")
-    if data.dtype.kind == "f":
-        # 2.0**63 is the first float past the int64 range
-        bad = ~np.isfinite(data) | (data != np.round(data)) | (data >= 2.0**63)
-    else:
-        bad = data > np.iinfo(np.int64).max
-    if bad.any():
-        raise ParseError(f"{path}: entry {data[bad][0].item()!r} is not an integer within int64")
-
-    registry = JournalRegistry()
+    with file_errors(path):
+        with open(path, "rb") as fh:
+            banner = fh.readline(1024).decode("latin-1").casefold().split()
+        if banner[:3] != ["%%matrixmarket", "matrix", "coordinate"]:
+            raise ParseError("expected a '%%MatrixMarket matrix coordinate' banner")
+        try:
+            mat = scipy.io.mmread(str(path))
+        except Exception as exc:
+            raise ParseError(f"not a readable Matrix Market file ({exc})") from exc
+        mat = sp.coo_matrix(mat)
+        rows, cols = mat.shape
+        if rows != cols:
+            raise DimensionError(f"matrix is {rows}x{cols}, expected square")
+        data = np.asarray(mat.data)
+        if np.iscomplexobj(data):
+            raise ParseError("complex entries")
+        if data.size and data.min() < 0:
+            raise ParseError(f"negative entry {data.min()}")
+        if data.dtype.kind == "f":
+            # 2.0**63 is the first float past the int64 range
+            bad = ~np.isfinite(data) | (data != np.round(data)) | (data >= 2.0**63)
+        else:
+            bad = data > np.iinfo(np.int64).max
+        if bad.any():
+            raise ParseError(f"entry {data[bad][0].item()!r} is not an integer within int64")
+        keep = data > 0
+        matrix = CitationMatrix(rows, mat.row[keep], mat.col[keep], data[keep])
+    names = [f"J{k}" for k in range(rows)]
     if names_path is not None:
         with file_errors(names_path):
             text = Path(names_path).read_text(encoding="utf-8-sig")
-        names = [line.strip() for line in text.splitlines() if line.strip()]
-        if len(names) != rows:
-            raise DimensionError(
-                f"{names_path}: {len(names)} names for a {rows}-journal matrix"
-            )
-    else:
-        names = [f"J{k}" for k in range(rows)]
+            names = [line.strip() for line in text.splitlines() if line.strip()]
+            if len(names) != rows:
+                raise DimensionError(f"{len(names)} names for a {rows}-journal matrix")
+            if len(set(map(canonical_name, names))) != rows:
+                raise ParseError("duplicate names after canonicalization")
+    registry = JournalRegistry()
     for name in names:
         registry.add(name)
-    if len(registry) != rows:
-        raise ParseError(f"{names_path}: duplicate names after canonicalization")
-
-    keep = data > 0
-    matrix = CitationMatrix(
-        rows,
-        np.asarray(mat.row)[keep],
-        np.asarray(mat.col)[keep],
-        data[keep],
-    )
     return registry, matrix
 
 
@@ -277,9 +270,12 @@ def _optional_float(text: str, line: int) -> float | None:
     if not text:
         return None
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"not a number: {text!r}", line) from None
+    if not math.isfinite(value):  # JSON reports have no Infinity or NaN
+        raise ParseError(f"not a finite number: {text!r}", line)
+    return value
 
 
 def load_metadata(path: str | Path, registry: JournalRegistry) -> int:
@@ -297,7 +293,7 @@ def load_metadata(path: str | Path, registry: JournalRegistry) -> int:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise EmptyCorpusError(f"{path}: empty metadata file")
+            raise EmptyCorpusError("empty metadata file")
         fields = ["name", "category", "total_cites", "impact_factor", "immediacy"]
         if not header or [h.strip().casefold() for h in header] != fields[: len(header)]:
             raise ParseError(
@@ -315,9 +311,7 @@ def load_metadata(path: str | Path, registry: JournalRegistry) -> int:
             if not key:
                 raise ParseError("empty journal name", lineno)
             if key in seen:
-                raise MetadataConflictError(
-                    f"line {lineno}: duplicate metadata for journal {name!r}"
-                )
+                raise MetadataConflictError(f"duplicate metadata for journal {name!r}", lineno)
             seen.add(key)
             jid = registry.get(name)
             if jid is None:
@@ -333,6 +327,8 @@ def load_metadata(path: str | Path, registry: JournalRegistry) -> int:
                     raise ParseError(f"not an integer: {row[2]!r}", lineno) from None
                 if total < 0:
                     raise ParseError(f"total_cites must be nonnegative, got {total}", lineno)
+                if total > np.iinfo(np.int64).max:
+                    raise ParseError("total_cites exceeds the int64 range", lineno)
                 entry.total_cites = total
             if len(row) > 3:
                 entry.impact_factor = _optional_float(row[3], lineno)

@@ -2,8 +2,9 @@
 
 Exit-code mapping used by the CLI: usage errors exit 1, data errors exit 2,
 numerical errors exit 3.  Every file the package opens, reads or writes goes
-through `file_errors`, so a file that cannot be used is a data error that
-names it.
+through `file_errors`, and each reader checks its file's contents inside that
+guard, so every data error from an input file names the file, and a row
+error names its line too: `e.csv: line 3: expected 3 fields, got 1`.
 """
 
 from contextlib import contextmanager
@@ -22,19 +23,20 @@ class UsageError(InterdiscError):
 
 
 class DataError(InterdiscError):
-    """Malformed or inconsistent input data."""
+    """Malformed or inconsistent input data, on input line `line` if given."""
 
     exit_code = 2
-
-
-class ParseError(DataError):
-    """A row of an input file could not be parsed."""
+    path = None  # the file `file_errors` named in the message
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class ParseError(DataError):
+    """A row of an input file could not be parsed."""
 
 
 class EmptyCorpusError(DataError):
@@ -81,11 +83,21 @@ class CountOverflowError(NumericalError):
 
 @contextmanager
 def file_errors(path):
-    """Turn a failed open, read or write of `path` into a `DataError`, and
-    text that does not decode as UTF-8 into a `ParseError`; both name `path`."""
+    """Name `path` in every `DataError` raised in the block, keeping its type.
+
+    A failed open, read or write of `path` becomes a `DataError`, and text
+    that does not decode as UTF-8 a `ParseError`.  An error that an inner
+    guard has already named keeps its file, so the name appears once.
+    """
     try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except OSError as exc:  # missing, a directory, unreadable, disk full
-        raise DataError(f"{path}: {exc.strerror or exc}") from None
+        try:
+            yield
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text ({exc.reason})") from None
+        except OSError as exc:  # missing, a directory, unreadable, disk full
+            raise DataError(exc.strerror or str(exc)) from None
+    except DataError as exc:
+        if exc.path is None:
+            exc.path = path
+            exc.args = (f"{path}: {exc}",)
+        raise

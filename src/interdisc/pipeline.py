@@ -325,8 +325,9 @@ def report_set(*paths: str | Path) -> Iterator[list[Path]]:
     try:
         yield temps
         for path in paths:
-            if path.is_dir():
-                raise DataError(f"{path}: Is a directory")
+            with file_errors(path):
+                if path.is_dir():
+                    raise DataError("Is a directory")
         for temp, path in zip(temps, paths):
             with file_errors(path):
                 temp.replace(path)

@@ -588,6 +588,17 @@ class TestExportMatrix:
         scipy.io.mmwrite(str(by_path), sp.coo_matrix(dense), field="real", symmetry="symmetric")
         assert target.read_bytes() == by_path.read_bytes()
 
+    def test_metadata_named_in_config_is_not_read(self, edges_path, tmp_path):
+        # a config shared with other commands may name metadata; the export ignores it
+        bad_meta = tmp_path / "meta.csv"
+        bad_meta.write_text("name,category\nA,LIS,extra\n", encoding="utf-8")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"metadata": str(bad_meta)}), encoding="utf-8")
+        argv = ["export-matrix", "--edges", edges_path]
+        assert run([*argv, "--out", tmp_path / "plain.mtx"]) == 0
+        assert run([*argv, "--config", config, "--out", tmp_path / "cfg.mtx"]) == 0
+        assert (tmp_path / "cfg.mtx").read_bytes() == (tmp_path / "plain.mtx").read_bytes()
+
     def test_jobs_is_accepted_and_changes_no_byte(self, edges_path, tmp_path):
         # benchmark command lines give every command --jobs
         argv = ["export-matrix", "--edges", edges_path, "--kind", "relative_euclidean"]
@@ -1147,6 +1158,46 @@ class TestTypedErrors:
         if "--outdir" not in argv:
             argv += ["--outdir", str(tmp_path / "o")]
         assert run(argv) == code
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv,bad,line",
+        [
+            pytest.param(["indicators", "--edges", "{bad}"],
+                         "citing,cited,count\nA,B,2\nC\n", 3, id="edges-short-row"),
+            pytest.param(["indicators", "--edges", "{bad}"],
+                         f"citing,cited,count\nA,B,{2**63}\n", None, id="edges-count-beyond-int64"),
+            pytest.param(["indicators", "--edges", "{bad}"],
+                         f"citing,cited,count\nA,B,{2**62}\nA,B,{2**62}\n", None,
+                         id="edges-sum-beyond-int64"),
+            pytest.param(["indicators", "--matrix-market", "{bad}"],
+                         "%%MatrixMarket matrix coordinate integer general\n2 2 2\n"
+                         f"1 2 {2**62}\n1 2 {2**62}\n", None, id="matrix-market-sum-beyond-int64"),
+            pytest.param(["indicators", "--edges", "{edges}", "--metadata", "{bad}"],
+                         "name,category\nA,LIS\nB,LIS,x\n", 3, id="metadata-wide-row"),
+            pytest.param(["rank", "entropy", "--edges", "{edges}", "--metadata", "{bad}"],
+                         "name,category\nA,LIS\nA,PHYS\n", 3, id="metadata-duplicate-row"),
+            pytest.param(["indicators", "--matrix-market", "{mm}", "--names", "{bad}"],
+                         "Alpha\n", None, id="names-count"),
+            pytest.param(["subset", "--ids", "0", "--matrix-market", "{mm}", "--names", "{bad}"],
+                         "Alpha\n ALPHA \n", None, id="names-duplicate"),
+            pytest.param(["correlate", "--edges", "{edges}", "--config", "{bad}"],
+                         "{\"jobs\": 2,", None, id="config-not-json"),
+            pytest.param(["synth", "--spec-json", "{bad}"], "[4, 4]", None,
+                         id="spec-not-object"),
+        ],
+    )
+    def test_data_error_names_its_file(self, edges_path, tmp_path, capsys, argv, bad, line):
+        mm = tmp_path / "m.mtx"
+        mm.write_text("%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2 3\n")
+        bad_path = tmp_path / "bad.txt"
+        bad_path.write_text(bad, encoding="utf-8")
+        argv = [part.format(bad=bad_path, edges=edges_path, mm=mm) for part in argv]
+        assert run([*argv, "--outdir", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        prefix = f"data error: {bad_path}: " + (f"line {line}: " if line else "")
+        assert err.startswith(prefix), err
+        assert err.count(str(bad_path)) == 1 and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
 

@@ -14,11 +14,13 @@ from interdisc.corpus import (
 )
 from interdisc.pipeline import LoadedCorpus, RunConfig, compute_indicator_table, scope_table
 from interdisc.errors import (
+    DataError,
     DimensionError,
     EmptyCorpusError,
     MetadataConflictError,
     ParseError,
     UnknownJournalError,
+    file_errors,
 )
 
 
@@ -99,7 +101,8 @@ class TestLoadEdgeList:
     @pytest.mark.parametrize("row", [",C,1", "C, ,1"])
     def test_empty_journal_name_names_its_line(self, tmp_path, row):
         path = write(tmp_path, "e.csv", f"citing,cited,count\nA,B,2\n{row}\n")
-        with pytest.raises(ParseError, match="^line 3: empty journal name$"):
+        message = f"^{re.escape(str(path))}: line 3: empty journal name$"
+        with pytest.raises(ParseError, match=message):
             load_edge_list(path)
 
     def test_empty_file(self, tmp_path):
@@ -267,6 +270,28 @@ class TestMatrixMarket:
         assert matrix.tocsr()[registry.id_of("Alpha"), registry.id_of("Beta")] == 3
 
 
+class TestFileErrors:
+    def test_names_the_file_and_keeps_the_type(self):
+        with pytest.raises(ParseError, match="^f.csv: line 4: bad row$"):
+            with file_errors("f.csv"):
+                raise ParseError("bad row", 4)
+
+    def test_nested_guards_name_the_innermost_file_once(self):
+        with pytest.raises(MetadataConflictError) as caught:
+            with file_errors("outer.json"):
+                with file_errors("inner.csv"):
+                    raise MetadataConflictError("duplicate", 2)
+        assert str(caught.value) == "inner.csv: line 2: duplicate"
+        assert caught.value.path == "inner.csv"
+
+    def test_outer_guard_names_an_error_raised_outside_the_inner_one(self):
+        with pytest.raises(DataError, match="^outer.json: not an object$"):
+            with file_errors("outer.json"):
+                with file_errors("inner.csv"):
+                    pass
+                raise DataError("not an object")
+
+
 class TestMetadata:
     def test_fields_attached(self, tmp_path, corpus3):
         registry, _ = corpus3
@@ -319,15 +344,45 @@ class TestMetadata:
     def test_row_wider_than_its_header_is_parse_error(self, tmp_path, corpus3):
         registry, _ = corpus3
         meta = write(tmp_path, "m.csv", "name\nB\nA,LIS\n")
-        with pytest.raises(ParseError, match="^line 3: expected at most 1 fields, got 2$"):
+        message = f"^{re.escape(str(meta))}: line 3: expected at most 1 fields, got 2$"
+        with pytest.raises(ParseError, match=message):
             load_metadata(meta, registry)
         assert all(e.category is None for e in registry.entries)
 
     def test_row_with_empty_name_is_parse_error(self, tmp_path, corpus3):
         registry, _ = corpus3
         meta = write(tmp_path, "m.csv", "name,category\nA,LIS\n ,PHYS\n")
-        with pytest.raises(ParseError, match="^line 3: empty journal name$"):
+        message = f"^{re.escape(str(meta))}: line 3: empty journal name$"
+        with pytest.raises(ParseError, match=message):
             load_metadata(meta, registry)
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("A,LIS," + "9" * 400, "total_cites exceeds the int64 range$"),
+            (f"A,LIS,{2**63}", "total_cites exceeds the int64 range$"),
+            ("A,LIS,1,inf", "not a finite number: 'inf'"),
+            ("A,LIS,1,1e999", "not a finite number: '1e999'"),
+            ("A,LIS,1,nan", "not a finite number: 'nan'"),
+            ("A,LIS,1,1.5,-Infinity", "not a finite number: '-Infinity'"),
+        ],
+        ids=["total-400-digits", "total-2**63", "if-inf", "if-1e999",
+             "if-nan", "immediacy-minus-infinity"],
+    )
+    def test_number_out_of_range_is_parse_error_on_its_line(
+        self, tmp_path, corpus3, row, message
+    ):
+        registry, _ = corpus3
+        header = "name,category,total_cites,impact_factor,immediacy"
+        meta = write(tmp_path, "m.csv", f"{header}\nB,PHYS\n{row}\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{meta}: line 3: ')}{message}"):
+            load_metadata(meta, registry)
+
+    def test_largest_int64_total_cites_loads(self, tmp_path, corpus3):
+        registry, _ = corpus3
+        meta = write(tmp_path, "m.csv", f"name,category,total_cites\nA,LIS,{2**63 - 1}\n")
+        load_metadata(meta, registry)
+        assert registry.entries[registry.id_of("A")].total_cites == 2**63 - 1
 
     def test_category_subset_of_61(self, tmp_path):
         n = 100
