@@ -6,9 +6,10 @@ export-matrix.  Each takes only the flags it reads.  `indicators` and
 `correlate` and `factor` compute exactly the columns they report.  One JSON
 config file (--config) serves every command; flags override it.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
-Every failure is an `InterdiscError`, printed as one line on stderr.  A data
-error from an input file names the file, and the line for an error in one
-row; a file that cannot be read or written is a data error that names it.
+Every failure is an `InterdiscError`, printed as one line on stderr, and
+every warning as one `warning: <message>` line.  A data error from an input
+file names the file, and the line for an error in one row; a file that
+cannot be read or written is a data error that names it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from .corpus import Direction, SubsetMode
@@ -113,21 +115,22 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} takes comma-separated integers, not {text!r}") from None
 
 
-def _read_json(path: str, what: str):
+def _read_json(path: str, what: str) -> dict:
     with file_errors(path):
         text = Path(path).read_text(encoding="utf-8")
         try:
-            return json.loads(text)
+            data = json.loads(text)
         except ValueError as exc:
             raise DataError(f"{what} is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise DataError(f"{what} must hold a JSON object")
+        return data
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if getattr(args, "config", None):
         data = _read_json(args.config, "config file")
-        if not isinstance(data, dict):
-            raise UsageError(f"config file must hold a JSON object: {args.config}")
     for name in RunConfig.__dataclass_fields__:  # the flags a command has
         value = getattr(args, name, None)
         if value is not None:
@@ -183,7 +186,8 @@ def cmd_rank(args) -> int:
     )
     out = _outdir(config.outdir)
     path = out / f"ranking_{args.indicator}.csv"
-    write_ranking_csv(rows, args.indicator, path, config, corpus.digests)
+    with report_set(path) as (temp,):
+        write_ranking_csv(rows, args.indicator, temp, config, corpus.digests)
     for row in rows:
         marker = " (appended)" if row.appended else ""
         print(f"{row.rank:>4}  {row.name}  {row.value:.9g}{marker}")
@@ -268,8 +272,6 @@ def _synth_spec_from_args(args) -> SyntheticSpec:
     if args.spec_json:
         with file_errors(args.spec_json):
             data = _read_json(args.spec_json, "spec file")
-            if not isinstance(data, dict):
-                raise DataError("spec file must hold a JSON object")
             try:
                 bridges = [BridgeSpec(**b) for b in data.pop("bridges", [])]
                 generalists = [GeneralistSpec(**g) for g in data.pop("generalists", [])]
@@ -327,7 +329,8 @@ def cmd_export_matrix(args) -> int:
         values = cooccurrence(corpus.matrix, args.axis)
     else:
         values = distance_matrix(corpus.matrix, args.axis, args.kind)
-    export_matrix_market(values, args.out)
+    with report_set(args.out) as (temp,):
+        export_matrix_market(values, temp)
     print(f"wrote {args.kind} matrix ({args.axis}) to {args.out}")
     return 0
 
@@ -402,6 +405,8 @@ def build_parser() -> Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -409,6 +414,8 @@ def main(argv: list[str] | None = None) -> int:
         kind = {1: "usage", 3: "numerical"}.get(exc.exit_code, "data")
         print(f"{kind} error: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

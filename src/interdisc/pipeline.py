@@ -2,13 +2,16 @@
 
 Every report embeds the resolved configuration and a SHA-256 digest of each
 input file, and contains nothing run-dependent beyond that, so identical
-inputs and options produce byte-identical outputs.
+inputs and options produce byte-identical outputs.  Each report format has
+one encoder: `_csv_row` spells every CSV cell, and `_json_array`, the
+`default=` hook of `_write_json`, every numpy array in a JSON report.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import warnings
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -118,12 +121,6 @@ class RunConfig:
         # below 0 every pair is linked, empty journals too; from 1 up no pair is
         if not 0.0 <= self.cosine_threshold < 1.0:  # NaN fails here too
             raise UsageError(f"cosine_threshold must be in [0, 1), not {self.cosine_threshold}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["directions"] = list(self.directions)
-        d["metrics"] = list(self.metrics)
-        return d
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -308,8 +305,29 @@ def scope_table(
 # Report formatting
 
 
-def format_value(x: float) -> str:
-    return "" if np.isnan(x) else f"{x:.9g}"
+_CSV_QUOTED = re.compile(r'[,"\r\n]')
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, float):  # numpy's float64 too, the most common cell
+        return "" if value != value else f"{value:.9g}"
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return '"' + value.replace('"', '""') + '"' if _CSV_QUOTED.search(value) else value
+
+
+def _csv_row(*cells) -> str:
+    """One CSV line: flags as 1/0, integers as they are, floats to 9
+    significant digits (NaN empty), and text quoted RFC 4180-style when it
+    holds a comma, quote, CR or LF."""
+    return ",".join(map(_csv_cell, cells))
+
+
+def _json_array(value: np.ndarray) -> list:
+    """`json`'s hook for numpy arrays: nested lists, NaN as null."""
+    return np.where(np.isnan(value), None, value).tolist()
 
 
 @contextmanager
@@ -341,7 +359,7 @@ def _write_text(
 ) -> None:
     """Write the provenance header, then `lines`, one per line."""
     header = [
-        "# config: " + json.dumps(config.to_dict(), sort_keys=True),
+        "# config: " + json.dumps(asdict(config), sort_keys=True),
         "# inputs: " + json.dumps(digests, sort_keys=True),
     ]
     with file_errors(path):
@@ -352,11 +370,10 @@ def _write_json(
     path: str | Path, config: RunConfig, digests: dict[str, str], payload: dict
 ) -> None:
     """Write `payload` with the run's config and input digests beside it."""
-    envelope = {"config": config.to_dict(), "inputs": digests, **payload}
+    envelope = {"config": asdict(config), "inputs": digests, **payload}
+    text = json.dumps(envelope, indent=2, sort_keys=True, default=_json_array)
     with file_errors(path):
-        Path(path).write_text(
-            json.dumps(envelope, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def write_indicator_csv(
@@ -369,29 +386,20 @@ def write_indicator_csv(
     suffix = f"_{direction}"
     # a restricted --metrics or --directions run computes fewer columns
     columns = [i.name + suffix for i in INDICATORS if i.name + suffix in table.columns]
+    rows = zip(
+        table.journal_ids,
+        table.names,
+        table.column("support" + suffix).astype(np.int64),
+        table.flags["degenerate" + suffix],
+        *(table.column(c) for c in columns),
+    )
     lines = [
         "# note: betweenness_citations is computed on the directed citation "
         "graph and is identical for the cited and citing directions",
-        ",".join(["journal_id", "name", "support", "degenerate"] + columns),
+        _csv_row("journal_id", "name", "support", "degenerate", *columns),
+        *(_csv_row(*row) for row in rows),
     ]
-    support = table.column("support" + suffix)
-    degenerate = table.flags["degenerate" + suffix]
-    for i, jid in enumerate(table.journal_ids):
-        row = [
-            str(jid),
-            _csv_quote(table.names[i]),
-            str(int(support[i])),
-            "1" if degenerate[i] else "0",
-        ]
-        row += [format_value(float(table.column(c)[i])) for c in columns]
-        lines.append(",".join(row))
     _write_text(path, config, digests, lines)
-
-
-def _csv_quote(text: str) -> str:
-    if any(ch in text for ch in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def write_combined_json(
@@ -400,16 +408,8 @@ def write_combined_json(
     config: RunConfig,
     digests: dict[str, str],
 ) -> None:
-    payload = {
-        "journals": [
-            {"id": jid, "name": table.names[i]} for i, jid in enumerate(table.journal_ids)
-        ],
-        "columns": {
-            name: [None if np.isnan(v) else float(v) for v in col]
-            for name, col in table.columns.items()
-        },
-        "flags": {name: [bool(v) for v in col] for name, col in table.flags.items()},
-    }
+    journals = [{"id": jid, "name": name} for jid, name in zip(table.journal_ids, table.names)]
+    payload = {"journals": journals, "columns": table.columns, "flags": table.flags}
     _write_json(path, config, digests, payload)
 
 
@@ -518,19 +518,8 @@ def write_ranking_csv(
     lines = [
         f"# indicator: {indicator} (order: {_indicator_of(indicator).order})",
         "rank,journal_id,name,value,appended",
+        *(_csv_row(r.rank, r.journal_id, r.name, r.value, r.appended) for r in rows),
     ]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.rank),
-                    str(row.journal_id),
-                    _csv_quote(row.name),
-                    format_value(row.value),
-                    "1" if row.appended else "0",
-                ]
-            )
-        )
     _write_text(path, config, digests, lines)
 
 
@@ -541,40 +530,24 @@ def write_correlations(
     config: RunConfig,
     digests: dict[str, str],
 ) -> None:
-    k = len(corr.columns)
+    diagonal = np.eye(len(corr.columns), dtype=bool)
+    rho = np.array([[_csv_cell(r) + significance_stars(p) for r, p in zip(*pair)]
+                    for pair in zip(corr.rho, corr.p_values)], dtype=object)
+    rho[diagonal] = "1"
+
+    def block(cells) -> list[str]:
+        return [_csv_row(name, *row) for name, row in zip(corr.columns, cells)]
+
     lines = [
         "# spearman rho; stars: ** p<0.01, * p<0.05 (two-tailed)",
-        ",".join([""] + corr.columns),
+        _csv_row("", *corr.columns),
+        *block(rho),
+        "# two-tailed p-values",
+        *block(np.where(diagonal, np.nan, corr.p_values)),
+        "# pairwise complete n",
+        *block(corr.n),
     ]
-    for i in range(k):
-        cells = [corr.columns[i]]
-        for j in range(k):
-            if i == j:
-                cells.append("1")
-            else:
-                cells.append(
-                    format_value(corr.rho[i, j]) + significance_stars(corr.p_values[i, j])
-                )
-        lines.append(",".join(cells))
-    lines.append("# two-tailed p-values")
-    for i in range(k):
-        lines.append(
-            ",".join(
-                [corr.columns[i]]
-                + [format_value(corr.p_values[i, j]) if i != j else "" for j in range(k)]
-            )
-        )
-    lines.append("# pairwise complete n")
-    for i in range(k):
-        lines.append(
-            ",".join([corr.columns[i]] + [str(int(corr.n[i, j])) for j in range(k)])
-        )
-    payload = {
-        "columns": corr.columns,
-        "rho": corr.rho.tolist(),
-        "p_values": corr.p_values.tolist(),
-        "n": corr.n.tolist(),
-    }
+    payload = {"columns": corr.columns, "rho": corr.rho, "p_values": corr.p_values, "n": corr.n}
     with report_set(csv_path, json_path) as (csv_temp, json_temp):
         _write_text(csv_temp, config, digests, lines)
         _write_json(json_temp, config, digests, payload)
@@ -588,46 +561,30 @@ def write_factors(
     config: RunConfig,
     digests: dict[str, str],
 ) -> None:
-    lines = ["# rotated component matrix (principal components, varimax with"]
-    if solution.converged:
-        lines.append(
-            f"# kaiser normalization); rotation converged in {solution.iterations} iterations"
-        )
-    else:
-        lines.append(
-            f"# kaiser normalization); rotation did NOT converge in {solution.iterations} iterations"
-        )
-    lines.append(
-        "# loadings with absolute value below "
-        f"{LOADING_DISPLAY_THRESHOLD} are left blank; full precision in the JSON report"
-    )
-    k = solution.k
-    lines.append(",".join(["indicator"] + [f"component_{j + 1}" for j in range(k)]))
-    for i, name in enumerate(pca_result.columns):
-        cells = [name]
-        for j in range(k):
-            loading = solution.loadings[i, j]
-            cells.append(
-                format_value(loading)
-                if abs(loading) >= LOADING_DISPLAY_THRESHOLD
-                else ""
-            )
-        lines.append(",".join(cells))
-    per_factor = ",".join(format_value(v) for v in solution.variance_explained)
-    cumulative = ",".join(format_value(v) for v in solution.cumulative_variance)
-    lines.append(f"# variance explained per rotated factor (%): {per_factor}")
-    lines.append(f"# cumulative variance explained (%): {cumulative}")
-    lines.append(f"# observations (listwise complete): {pca_result.n_observations}")
+    outcome = "converged" if solution.converged else "did NOT converge"
+    loadings = solution.loadings
+    shown = np.where(np.abs(loadings) >= LOADING_DISPLAY_THRESHOLD, loadings, np.nan)
+    lines = [
+        "# rotated component matrix (principal components, varimax with",
+        f"# kaiser normalization); rotation {outcome} in {solution.iterations} iterations",
+        f"# loadings with absolute value below {LOADING_DISPLAY_THRESHOLD} are left blank; "
+        "full precision in the JSON report",
+        _csv_row("indicator", *(f"component_{j + 1}" for j in range(solution.k))),
+        *(_csv_row(name, *row) for name, row in zip(pca_result.columns, shown)),
+        "# variance explained per rotated factor (%): " + _csv_row(*solution.variance_explained),
+        "# cumulative variance explained (%): " + _csv_row(*solution.cumulative_variance),
+        f"# observations (listwise complete): {pca_result.n_observations}",
+    ]
     payload = {
         "columns": pca_result.columns,
-        "k": k,
-        "eigenvalues": pca_result.eigenvalues.tolist(),
-        "variance_explained_components": pca_result.variance_explained.tolist(),
-        "unrotated_loadings": pca_result.loadings.tolist(),
-        "rotated_loadings": solution.loadings.tolist(),
-        "rotation": solution.rotation.tolist(),
-        "variance_explained_rotated": solution.variance_explained.tolist(),
-        "cumulative_variance_rotated": solution.cumulative_variance.tolist(),
+        "k": solution.k,
+        "eigenvalues": pca_result.eigenvalues,
+        "variance_explained_components": pca_result.variance_explained,
+        "unrotated_loadings": pca_result.loadings,
+        "rotated_loadings": loadings,
+        "rotation": solution.rotation,
+        "variance_explained_rotated": solution.variance_explained,
+        "cumulative_variance_rotated": solution.cumulative_variance,
         "iterations": solution.iterations,
         "converged": solution.converged,
         "n_observations": pca_result.n_observations,

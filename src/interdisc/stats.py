@@ -244,6 +244,10 @@ def varimax_criterion(loadings: np.ndarray) -> float:
     return float((np.mean(sq**2, axis=0) - np.mean(sq, axis=0) ** 2).sum())
 
 
+VARIMAX_TOL = 1e-6  # relative criterion improvement that ends the sweeps
+VARIMAX_MAX_ITER = 500
+
+
 @dataclass
 class RotatedFactorSolution:
     loadings: np.ndarray
@@ -255,18 +259,14 @@ class RotatedFactorSolution:
     iterations: int
 
 
-def varimax(
-    loadings: np.ndarray,
-    kaiser_normalize: bool = True,
-    tol: float = 1e-6,
-    max_iter: int = 500,
-) -> RotatedFactorSolution:
+def varimax(loadings: np.ndarray, kaiser_normalize: bool = True) -> RotatedFactorSolution:
     """Varimax rotation by pairwise planar (Jacobi) rotations.
 
     Rows are scaled to unit communality first when `kaiser_normalize` and
     unscaled afterward.  One iteration is a full sweep over factor pairs;
     the loop stops when the relative criterion improvement drops below
-    `tol`.  A single factor is returned unchanged.
+    `VARIMAX_TOL`, or unconverged after `VARIMAX_MAX_ITER` sweeps.  A single
+    factor is returned unchanged.
     """
     loadings = np.asarray(loadings, dtype=np.float64)
     p, k = loadings.shape
@@ -289,7 +289,7 @@ def varimax(
     value = varimax_criterion(work)
     converged = False
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(VARIMAX_MAX_ITER):
         for a in range(k - 1):
             for b in range(a + 1, k):
                 x, y = work[:, a], work[:, b]
@@ -307,7 +307,7 @@ def varimax(
                 rotation[:, [a, b]] = rotation[:, [a, b]] @ plane
         iterations += 1
         new_value = varimax_criterion(work)
-        if new_value - value <= tol * max(abs(value), 1e-15):
+        if new_value - value <= VARIMAX_TOL * max(abs(value), 1e-15):
             converged = True
             value = new_value
             break

@@ -1,8 +1,11 @@
 import argparse
+import csv
+import errno
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +283,56 @@ class TestRankCommand:
             assert run(argv) == code
         path = out / "ranking_entropy.csv"
         assert (data_lines(path) if path.exists() else None) == listed
+
+
+class TestReportEncoding:
+    ODD = ["Comma, J", 'Quote "J"', "CR\rJ", "LF\nJ"]
+
+    @pytest.fixture
+    def odd_edges(self, tmp_path) -> Path:
+        path = tmp_path / "odd.csv"
+        names = ["A", *self.ODD]
+        rows = [(a, b, 1 + i + 2 * j) for i, a in enumerate(names) for j, b in enumerate(names)]
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL).writerows([("citing", "cited", "count"), *rows])
+        return path
+
+    @staticmethod
+    def read_rows(path: Path) -> list[list[str]]:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return [row for row in csv.reader(fh) if not row[0].startswith("#")]
+
+    @pytest.mark.parametrize(
+        "command,report",
+        [
+            (["indicators"], "indicators_cited.csv"),
+            (["rank", "entropy", "--include-degenerate"], "ranking_entropy.csv"),
+        ],
+    )
+    def test_odd_names_read_back_as_one_field(self, odd_edges, tmp_path, command, report):
+        out = tmp_path / "o"
+        assert run([*command, "--edges", odd_edges, "--outdir", out]) == 0
+        header, *rows = self.read_rows(out / report)
+        assert all(len(row) == len(header) for row in rows)
+        assert sorted(row[header.index("name")] for row in rows) == sorted(["A", *self.ODD])
+
+    def test_unconverged_rotation_is_written_as_such(self, tmp_path):
+        from interdisc.stats import PcaResult, RotatedFactorSolution
+
+        loadings = np.array([[0.9, 0.05], [0.2, 0.8], [0.5, -0.5]])
+        pca_result = PcaResult(["a", "b", "c"], loadings, np.array([1.5, 1.0]),
+                               np.array([50.0, 33.3]), n_observations=40)
+        solution = RotatedFactorSolution(loadings, np.eye(2), np.array([40.0, 30.0]),
+                                         np.array([40.0, 70.0]), k=2, converged=False,
+                                         iterations=500)
+        csv_path, json_path = tmp_path / "f.csv", tmp_path / "f.json"
+        pipeline.write_factors(pca_result, solution, csv_path, json_path, RunConfig(), {})
+        lines = csv_path.read_text().splitlines()
+        assert "# kaiser normalization); rotation did NOT converge in 500 iterations" in lines
+        assert "a,0.9," in lines  # a loading below the display threshold is blank
+        report = json.loads(json_path.read_text())
+        assert report["converged"] is False and report["iterations"] == 500
+        assert report["rotated_loadings"] == loadings.tolist()
 
 
 class TestDegenerateRows:
@@ -587,6 +640,31 @@ class TestExportMatrix:
         dense = scipy.io.mmread(str(target)).toarray()
         scipy.io.mmwrite(str(by_path), sp.coo_matrix(dense), field="real", symmetry="symmetric")
         assert target.read_bytes() == by_path.read_bytes()
+
+    def test_failed_export_keeps_the_previous_file(self, edges_path, tmp_path, monkeypatch):
+        import scipy.io
+
+        from interdisc import netspace
+
+        target = tmp_path / "d.mtx"
+        argv = ["export-matrix", "--edges", edges_path, "--kind", "relative_euclidean",
+                "--out", target]
+        assert run(argv) == 0
+        before = target.read_bytes()
+        monkeypatch.setattr(netspace, "EXPORT_BLOCK_ROWS", 1)  # one block per journal
+        mmwrite, calls = scipy.io.mmwrite, []
+
+        def fail_second_block(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            mmwrite(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.io, "mmwrite", fail_second_block)
+        assert run(argv) == 2
+        assert len(calls) == 2
+        assert target.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_metadata_named_in_config_is_not_read(self, edges_path, tmp_path):
         # a config shared with other commands may name metadata; the export ignores it
@@ -1085,7 +1163,6 @@ class TestOptionValidation:
         [
             {"cosine_threshold": "0.5"},
             {"jobs": "2"},
-            [1, 2],
             {"gini_include_zeros": "no"},
             {"directions": "cited"},
         ],
@@ -1118,6 +1195,8 @@ class TestTypedErrors:
             pytest.param(["synth", "--spec-json", "{not_object}"], 2, id="spec-not-object"),
             pytest.param(["indicators", "--edges", "{edges}", "--config", "{directory}"], 2,
                          id="config-is-directory"),
+            pytest.param(["indicators", "--edges", "{edges}", "--config", "{not_object}"], 2,
+                         id="config-not-object"),
             pytest.param(["indicators", "--edges", "{edges}", "--outdir", "{file}"], 1,
                          id="outdir-is-file"),
             pytest.param(["synth", "--clusters", "4,4", "--outdir", "{file}"], 1,
@@ -1185,6 +1264,8 @@ class TestTypedErrors:
                          "{\"jobs\": 2,", None, id="config-not-json"),
             pytest.param(["synth", "--spec-json", "{bad}"], "[4, 4]", None,
                          id="spec-not-object"),
+            pytest.param(["indicators", "--edges", "{edges}", "--config", "{bad}"], "[1]", None,
+                         id="config-not-object"),
         ],
     )
     def test_data_error_names_its_file(self, edges_path, tmp_path, capsys, argv, bad, line):
@@ -1199,6 +1280,27 @@ class TestTypedErrors:
         assert err.startswith(prefix), err
         assert err.count(str(bad_path)) == 1 and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+
+class TestWarnings:
+    def test_each_warning_is_one_line_in_a_subprocess(self, edges_path, tmp_path):
+        # C is never cited, so its pairs have undefined cited distances
+        proc = subprocess.run(
+            [sys.executable, "-m", "interdisc.cli", "indicators", "--edges", str(edges_path),
+             "--outdir", str(tmp_path / "o")],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert "warning: 4 journal pairs had undefined distances (cited, relative_euclidean)" in lines
+        assert all(line.startswith("warning: ") for line in lines), lines
+        assert not any(".py" in line for line in lines), lines
+
+    def test_main_restores_the_warning_format(self, edges_path, tmp_path):
+        before = warnings.formatwarning
+        with pytest.warns(UserWarning, match="undefined distances"):
+            assert run(["indicators", "--edges", edges_path, "--outdir", tmp_path / "o"]) == 0
+        assert warnings.formatwarning is before
 
 
 class TestTracedRun:
