@@ -12,21 +12,22 @@ allocates its work arrays once and reuses them for every batch and level.
 
 The adjacency format follows the graph's density.  Above `DENSE_DENSITY`,
 as co-occurrence graphs often are, it is an n x n float64 array and each
-product is a multithreaded BLAS GEMM, all batches in one worker thread;
-below it is CSR and its batches may be spread over worker threads that
+product is a multithreaded BLAS GEMM, all batches in the calling thread;
+below it is CSR and its batches may be spread over `jobs` threads that
 share it, each taking one interleaved share (every `jobs`-th batch).  The
-sparse products and the elementwise steps release the GIL.  Every run goes
-through the same pool: when one share fails, or the calling thread is
-interrupted, the shares stop before their next batch.  Both formats run
-the same recurrences.  The forward phase is exact either way (path counts
-are integers below 2**53); the backward sums may differ in the last bit
-between formats and between BLAS thread counts.
+calling thread runs share 0 and a pool thread each further share, so a
+dense or one-share run starts no thread.  The sparse products and the
+elementwise steps release the GIL.  When one share fails, or the calling
+thread is interrupted, the other shares stop before their next batch.
+Both formats run the same recurrences.  The forward phase is exact either
+way (path counts are integers below 2**53); the backward sums may differ in
+the last bit between formats and between BLAS thread counts.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import scipy.sparse as sp
@@ -134,10 +135,10 @@ def betweenness(
     contribute nothing.
 
     A graph with more than `DENSE_DENSITY * n * n` arcs runs on a dense
-    float64 adjacency (8 n^2 bytes) in one worker thread, using the BLAS
+    float64 adjacency (8 n^2 bytes) in the calling thread, using the BLAS
     threads; `jobs` applies only to sparser graphs, whose batches it spreads
-    over that many threads sharing the adjacency.  Results do not depend on
-    `jobs`.
+    over that many threads, the calling thread included, sharing the
+    adjacency.  Results do not depend on `jobs`.
     """
     n = graph.n
     scores = np.zeros(n)
@@ -158,21 +159,29 @@ def betweenness(
         adj = graph.adjacency.astype(np.float64).tocsr()
         adj_t = adj.T.tocsr() if graph.directed else adj
 
-    # one interleaved share per thread, put back in batch order
+    # one interleaved share per thread, put back in batch order; share 0 runs
+    # here, so the pool starts a thread only for each further share
     workers = 1 if dense else min(jobs, len(batches))
     stop = threading.Event()
+
+    def stop_if_failed(share: Future) -> None:
+        if share.exception() is not None:
+            stop.set()
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_dependencies, adj, adj_t, batches[w::workers], stop)
-            for w in range(workers)
+            for w in range(1, workers)
         ]
+        for future in futures:
+            future.add_done_callback(stop_if_failed)
         try:
-            wait(futures, return_when=FIRST_EXCEPTION)
+            shares = [_dependencies(adj, adj_t, batches[::workers], stop)]
+            shares += [future.result() for future in futures]
         finally:
             # a no-op once every share is done; otherwise a share failed, or
             # this thread was interrupted, and the rest stop at their next batch
             stop.set()
-        shares = [future.result() for future in futures]
     partials = [shares[i % workers][i // workers] for i in range(len(batches))]
 
     for part in partials:  # fixed reduction order keeps results deterministic

@@ -79,8 +79,8 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-count", type=int, help="drop cells with summed count below this")
     p.add_argument("--config", help="JSON file with RunConfig fields; flags override")
     p.add_argument("--jobs", type=int,
-                   help="worker threads for betweenness on sparse graphs (dense graphs "
-                        "use the BLAS threads); no effect on export-matrix")
+                   help="threads, the calling thread included, for betweenness on sparse "
+                        "graphs (dense graphs use the BLAS threads); no effect on export-matrix")
 
 
 def _add_run_options(p: argparse.ArgumentParser, scope: bool) -> None:
@@ -167,6 +167,13 @@ def cmd_indicators(args) -> int:
     return 0
 
 
+# control characters and line/paragraph separators, escaped as Python writes
+# them, so that each journal of a printed ranking stays on its own line
+_PRINT_ESCAPES = {
+    c: repr(chr(c))[1:-1] for c in [*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029]
+}
+
+
 def cmd_rank(args) -> int:
     if args.top < 0:
         raise UsageError(f"--top must be at least 0, not {args.top}")
@@ -190,7 +197,7 @@ def cmd_rank(args) -> int:
         write_ranking_csv(rows, args.indicator, temp, config, corpus.digests)
     for row in rows:
         marker = " (appended)" if row.appended else ""
-        print(f"{row.rank:>4}  {row.name}  {row.value:.9g}{marker}")
+        print(f"{row.rank:>4}  {row.name.translate(_PRINT_ESCAPES)}  {row.value:.9g}{marker}")
     print(f"wrote {path}")
     return 0
 

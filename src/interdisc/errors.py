@@ -26,13 +26,17 @@ class DataError(InterdiscError):
     """Malformed or inconsistent input data, on input line `line` if given."""
 
     exit_code = 2
-    path = None  # the file `file_errors` named in the message
+    path = None  # the file `file_errors` named, which the message leads with
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return message if self.path is None else f"{self.path}: {message}"
 
 
 class ParseError(DataError):
@@ -99,5 +103,4 @@ def file_errors(path):
     except DataError as exc:
         if exc.path is None:
             exc.path = path
-            exc.args = (f"{path}: {exc}",)
         raise

@@ -152,21 +152,24 @@ def cooccurrence_support(
     a = matrix.axis_matrix(axis).astype(bool).astype(np.int32)
     support = a.dot(a.T)
     support.eliminate_zeros()
-    return support.astype(bool)
+    return support.astype(bool, copy=False)
 
 
 def binarize(values: np.ndarray | sp.spmatrix, threshold: float = 0.0) -> BinaryGraph:
     """Undirected graph with an edge wherever a cell is strictly above threshold.
 
-    `values` is a square array or sparse matrix.  The diagonal is ignored.
-    A nonzero threshold breaks the equivalence between cosine- and
-    co-occurrence-based graphs and is off by default.
+    `values` is a square array or sparse matrix, and must be symmetric: a
+    co-occurrence support is by construction, and `cosine_matrix` is
+    bitwise.  The diagonal is ignored.  A nonzero threshold breaks the
+    equivalence between cosine- and co-occurrence-based graphs and is off
+    by default.
     """
     adj = sp.csr_matrix(values > threshold)
-    adj.setdiag(False)
+    # mask the stored diagonal; `setdiag` would insert the absent entries
+    rows = np.repeat(np.arange(adj.shape[0], dtype=adj.indices.dtype), np.diff(adj.indptr))
+    adj.data[adj.indices == rows] = False
     adj.eliminate_zeros()
-    adj = adj.maximum(adj.T).tocsr()  # guard symmetry for near-threshold floats
-    return BinaryGraph(n=adj.shape[0], directed=False, adjacency=adj.astype(bool))
+    return BinaryGraph(n=adj.shape[0], directed=False, adjacency=adj)
 
 
 def binarize_directed(matrix: CitationMatrix) -> BinaryGraph:

@@ -336,7 +336,8 @@ def report_set(*paths: str | Path) -> Iterator[list[Path]]:
     `paths` only once the block has written them all, so a failure leaves
     neither a fresh report beside a stale partner nor a temporary file.
 
-    A target that is a directory fails the set before any rename.
+    A target that is a directory fails the set before any rename.  An error
+    that names a temporary file names its target instead.
     """
     paths = [Path(path) for path in paths]
     temps = [path.with_name(path.name + ".tmp") for path in paths]
@@ -349,6 +350,10 @@ def report_set(*paths: str | Path) -> Iterator[list[Path]]:
         for temp, path in zip(temps, paths):
             with file_errors(path):
                 temp.replace(path)
+    except DataError as exc:
+        if exc.path in temps:
+            exc.path = paths[temps.index(exc.path)]
+        raise
     finally:
         for temp in temps:
             temp.unlink(missing_ok=True)

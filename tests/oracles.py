@@ -1,15 +1,17 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately naive: pairwise double loops, matrix-power
-geodesic enumeration, grid searches.  The one exception is
+geodesic enumeration, grid searches.  The exceptions are
 `brandes_batch_every_level`, a frozen copy of an earlier package recurrence
-kept as a bitwise reference.  None of it shares code with the package under
-test.
+kept as a bitwise reference, and `binarize_symmetrized`, an earlier
+`netspace.binarize` that did not rely on a symmetric input.  None of it
+shares code with the package under test.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def gini_pairwise(x) -> float:
@@ -185,3 +187,12 @@ def varimax_grid_criterion(loadings, resolution: float = 1e-4):
     best = int(np.argmax(crit))
     return float(crit[best]), float(angles[best])
 
+
+def binarize_symmetrized(values, threshold: float) -> sp.csr_matrix:
+    """Boolean adjacency of the cells strictly above `threshold`, diagonal
+    cleared, then joined with its transpose, so an asymmetric input still
+    gives an undirected graph."""
+    adj = sp.csr_matrix(values > threshold)
+    adj.setdiag(False)
+    adj.eliminate_zeros()
+    return adj.maximum(adj.T).tocsr().astype(bool)

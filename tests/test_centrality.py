@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,14 @@ class HeldAtFirstBatch:
         return self.checks[-1]
 
 
+class InterruptedAtFirstBatch:
+    """A stop flag for share 0, which runs in the calling thread; its first
+    check raises KeyboardInterrupt there, as a SIGINT would."""
+
+    def is_set(self):
+        raise KeyboardInterrupt
+
+
 class TestDeterminismAndJobs:
     def test_repeated_runs_identical(self):
         rng = np.random.default_rng(23)
@@ -154,49 +163,65 @@ class TestDeterminismAndJobs:
 
     @pytest.mark.parametrize("failure", ["share", "caller"])
     def test_failure_stops_the_other_share_before_its_next_batch(self, monkeypatch, failure):
+        # share 0 runs in the calling thread and share 1 in a pool thread; the
+        # one that does not fail is held at its first batch until the flag is set
         rng = np.random.default_rng(24)
         graph = graph_from_dense(rng.random((150, 150)) < 0.05, directed=True)
         assert not runs_dense(graph)
-        checks = []  # what share 0 saw at each per-batch check of the stop flag
+        checks = []  # what the held share saw at each per-batch check of the stop flag
         dependencies = centrality._dependencies
 
         def share(adj, adj_t, batches, stop):
             if batches[0][0] == 0:
+                if failure == "caller":
+                    return dependencies(adj, adj_t, batches, InterruptedAtFirstBatch())
                 return dependencies(adj, adj_t, batches, HeldAtFirstBatch(stop, checks))
             if failure == "share":
                 raise RuntimeError("share 1 failed")
-            return dependencies(adj, adj_t, batches, stop)
-
-        def interrupted(*args, **kwargs):
-            raise KeyboardInterrupt
+            return dependencies(adj, adj_t, batches, HeldAtFirstBatch(stop, checks))
 
         monkeypatch.setattr(centrality, "_dependencies", share)
-        if failure == "caller":
-            monkeypatch.setattr(centrality, "wait", interrupted)
         with pytest.raises(RuntimeError if failure == "share" else KeyboardInterrupt):
             betweenness(graph, jobs=2, batch_size=1)
         assert checks == [True]
 
     @pytest.mark.parametrize("p, jobs", [(0.05, 1), (0.2, 3)], ids=["sparse-jobs-1", "dense"])
     def test_a_single_share_stops_when_the_caller_is_interrupted(self, monkeypatch, p, jobs):
-        # jobs=1 and dense graphs run one share, through the same stop flag
+        # jobs=1 and dense graphs run one share, in the calling thread, where
+        # the interrupt ends it; the run still leaves its stop flag set
         rng = np.random.default_rng(24)
         graph = graph_from_dense(rng.random((150, 150)) < p, directed=True)
         assert runs_dense(graph) == (p == 0.2)
-        checks = []
+        flags = []  # the stop flag of each share the run started
         dependencies = centrality._dependencies
 
         def share(adj, adj_t, batches, stop):
-            return dependencies(adj, adj_t, batches, HeldAtFirstBatch(stop, checks))
-
-        def interrupted(*args, **kwargs):
-            raise KeyboardInterrupt
+            flags.append(stop)
+            return dependencies(adj, adj_t, batches, InterruptedAtFirstBatch())
 
         monkeypatch.setattr(centrality, "_dependencies", share)
-        monkeypatch.setattr(centrality, "wait", interrupted)
         with pytest.raises(KeyboardInterrupt):
             betweenness(graph, jobs=jobs, batch_size=1)
+        checks = [stop.is_set() for stop in flags]
         assert checks == [True]
+
+    @pytest.mark.parametrize("p, jobs", [(0.05, 1), (0.2, 3)], ids=["sparse-jobs-1", "dense"])
+    def test_a_single_share_runs_in_the_calling_thread(self, monkeypatch, p, jobs):
+        rng = np.random.default_rng(24)
+        graph = graph_from_dense(rng.random((150, 150)) < p, directed=True)
+        assert runs_dense(graph) == (p == 0.2)
+        calls = []  # (thread, live thread count) at each call of _dependencies
+        dependencies = centrality._dependencies
+
+        def share(*args):
+            calls.append((threading.get_ident(), threading.active_count()))
+            return dependencies(*args)
+
+        before = threading.active_count()
+        monkeypatch.setattr(centrality, "_dependencies", share)
+        betweenness(graph, jobs=jobs, batch_size=32)
+        assert calls == [(threading.get_ident(), before)]
+        assert threading.active_count() == before
 
     def test_batch_size_does_not_change_results_beyond_tolerance(self):
         rng = np.random.default_rng(25)

@@ -316,6 +316,16 @@ class TestReportEncoding:
         assert all(len(row) == len(header) for row in rows)
         assert sorted(row[header.index("name")] for row in rows) == sorted(["A", *self.ODD])
 
+    def test_printed_ranking_keeps_each_journal_on_one_line(self, odd_edges, tmp_path, capsys):
+        argv = ["rank", "entropy", "--include-degenerate", "--edges", odd_edges]
+        assert run([*argv, "--outdir", tmp_path / "o"]) == 0
+        *ranked, wrote = capsys.readouterr().out.splitlines()
+        assert wrote.startswith("wrote ")
+        assert [line.split()[0] for line in ranked] == ["1", "2", "3", "4", "5"]
+        assert sorted(line.lstrip().split("  ")[1] for line in ranked) == sorted(
+            ["A", "Comma, J", 'Quote "J"', "CR\\rJ", "LF\\nJ"]
+        )
+
     def test_unconverged_rotation_is_written_as_such(self, tmp_path):
         from interdisc.stats import PcaResult, RotatedFactorSolution
 
@@ -625,7 +635,7 @@ class TestExportMatrix:
         assert np.count_nonzero(diag == 0.0) == diag.size - len(set(cited))
 
 
-    def test_missing_out_directory_is_data_error(self, edges_path, tmp_path):
+    def test_missing_out_directory_is_data_error(self, edges_path, tmp_path, capsys):
         import scipy.io
         import scipy.sparse as sp
 
@@ -633,6 +643,8 @@ class TestExportMatrix:
         argv = ["export-matrix", "--edges", edges_path, "--out", target]
         assert run(argv) == 2
         assert not target.parent.exists()
+        # the error names the report, not the temporary file written first
+        assert capsys.readouterr().err == f"data error: {target}: No such file or directory\n"
         # writing through an open file gives the bytes mmwrite writes to a path
         target.parent.mkdir()
         assert run(argv) == 0

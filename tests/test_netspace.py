@@ -27,11 +27,12 @@ def matrix_from_dense(dense) -> CitationMatrix:
     return CitationMatrix(dense.shape[0], rows, cols, dense[rows, cols].astype(np.int64))
 
 
-def three_cites_each(n: int) -> CitationMatrix:
-    """n journals, each citing 3 at random: a few thousandths of the n^2
-    pairs share a vector entry on either axis."""
+def cites_each(n: int, k: int = 3) -> CitationMatrix:
+    """n journals, each citing k at random: at k = 3 a few thousandths of the
+    n^2 pairs share a vector entry on either axis, at n = 1000 and k = 30
+    about 0.6 of them."""
     rng = np.random.default_rng(17)
-    citing = np.repeat(np.arange(n), 3)
+    citing = np.repeat(np.arange(n), k)
     cited = rng.integers(0, n, size=citing.size)
     return CitationMatrix(n, cited, citing, rng.integers(1, 20, size=citing.size))
 
@@ -176,7 +177,7 @@ class TestSparseCosine:
     def test_no_dense_allocation(self, axis):
         # the cosine matrix has a few thousandths of its n^2 cells filled; a
         # dense one takes 8 n^2 bytes
-        m = three_cites_each(3000)
+        m = cites_each(3000)
         assert traced_peak(cosine_matrix, m, axis) < 8 * m.n * m.n / 4
 
 
@@ -274,6 +275,17 @@ class TestBinarize:
         graph = binarize(cooccurrence(m, Direction.CITED))
         assert np.all(graph.adjacency.diagonal() == 0)
 
+    @pytest.mark.parametrize("axis", [Direction.CITED, Direction.CITING])
+    def test_support_graph_copies_the_support_once(self, axis):
+        # bool data and int32 indices: 5 bytes per arc of a graph of density
+        # ~0.6; the support and its one copy take twice that and the diagonal
+        # mask less than once more, where symmetrizing peaked at five times
+        m = cites_each(1000, k=30)
+        adj = binarize(cooccurrence_support(m, axis)).adjacency
+        size = adj.data.nbytes + adj.indices.nbytes + adj.indptr.nbytes
+        peak = traced_peak(lambda: binarize(cooccurrence_support(m, axis)))
+        assert peak < 4 * size
+
 
 class TestBinarizeDirected:
     def test_single_cell_arc(self):
@@ -322,7 +334,7 @@ class TestDistanceMatrix:
     @pytest.mark.parametrize("axis", [Direction.CITED, Direction.CITING])
     def test_relative_euclidean_holds_one_dense_array(self, axis):
         # the n x n result takes 8 n^2 bytes; the Gram product stays sparse
-        m = three_cites_each(3000)
+        m = cites_each(3000)
         peak = traced_peak(distance_matrix, m, axis, "relative_euclidean")
         assert peak < 1.5 * 8 * m.n * m.n
 

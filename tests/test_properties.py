@@ -1,5 +1,6 @@
 """Property tests: the indicator table under relabelling, transposition,
-scaling and a change of input format, the all-journal diversity kernels
+scaling and a change of input format, the symmetry of the cosine matrix
+and of the graphs binarized from it, the all-journal diversity kernels
 against the naive double sum, and the loaders on arbitrary bytes.
 
 Random count matrices with at most 10 journals; every catalogue column,
@@ -21,12 +22,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import indicator_table
-from interdisc.corpus import CitationMatrix, load_edge_list, load_matrix_market
+from interdisc.corpus import CitationMatrix, Direction, load_edge_list, load_matrix_market
 from interdisc.diversity import diversity_all
 from interdisc.errors import InterdiscError
-from interdisc.netspace import distance_matrix
+from interdisc.netspace import binarize, cosine_matrix, distance_matrix
 from interdisc.pipeline import INDICATORS
-from oracles import naive_rao
+from oracles import binarize_symmetrized, naive_rao
 
 TOL = 1e-12
 
@@ -120,6 +121,19 @@ def test_edge_list_and_matrix_market_give_identical_tables(counts):
         assert np.array_equal(from_mtx.column(name), column, equal_nan=True), name
     for name, flag in from_edges.flags.items():
         assert np.array_equal(from_mtx.flags[name], flag), name
+
+
+@given(count_matrices(), st.sampled_from(list(Direction)), st.data())
+def test_cosine_matrix_is_symmetric_and_binarizes_without_symmetrizing(counts, axis, data):
+    rows, cols = np.nonzero(counts)
+    cos = cosine_matrix(CitationMatrix(len(counts), rows, cols, counts[rows, cols]), axis)
+    assert np.array_equal(cos.toarray(), cos.T.toarray())  # bitwise
+    # a threshold at a cell's own value is where an asymmetric pair would split
+    ties = sorted(set(cos.data[cos.data < 1.0])) or [0.0]
+    threshold = data.draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(ties)))
+    want = binarize_symmetrized(cos, threshold)
+    got = binarize(cos, threshold).adjacency
+    assert got.dtype == bool and np.array_equal(got.toarray(), want.toarray())
 
 
 @st.composite
