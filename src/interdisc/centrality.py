@@ -11,28 +11,28 @@ connected graph, 2(L - 1) of them for a BFS of depth L.  Each worker
 allocates its work arrays once and reuses them for every batch and level.
 
 The adjacency format follows the graph's density.  Above `DENSE_DENSITY`,
-as co-occurrence graphs often are, it is an n x n float64 array and each
-product is a multithreaded BLAS GEMM, all batches in the calling thread;
-below it is CSR and its batches may be spread over `jobs` threads that
-share it, each taking one interleaved share (every `jobs`-th batch).  The
-calling thread runs share 0 and a pool thread each further share, so a
-dense or one-share run starts no thread.  The sparse products and the
-elementwise steps release the GIL.  When one share fails, or the calling
-thread is interrupted, the other shares stop before their next batch.
-Both formats run the same recurrences.  The forward phase is exact either
-way (path counts are integers below 2**53); the backward sums may differ in
-the last bit between formats and between BLAS thread counts.
+as co-occurrence graphs often are, it is an n x n boolean array (n^2 bytes,
+and as much again for a directed graph's transpose), and each product is a
+multithreaded BLAS GEMM over `PANEL_ROWS` rows at a time, cast to float64
+into one reused panel and written into one reused result, all batches in
+the calling thread.  Below it the adjacency is float64 CSR and its batches
+may be spread over `jobs` threads that share it (see `shares.run_shares`).
+The sparse products and the elementwise steps release the GIL.  Both
+formats run the same recurrences.  The forward phase is exact either way
+(path counts are integers below 2**53); the backward sums may differ in the
+last bit between formats and between BLAS thread counts.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
 from .netspace import BinaryGraph
+from .shares import run_shares
 
 BATCH_SIZE = 64
 # Fraction of the n*n possible arcs above which the dense adjacency is used.
@@ -43,6 +43,19 @@ BATCH_SIZE = 64
 # a fresh process's first graph), GEMM at 0.49 (1.24-1.34 / 0.47-0.51 s).
 # Taking CSR cost as linear in density puts the crossover between 0.08 and 0.19.
 DENSE_DENSITY = 0.1
+# Rows of a boolean adjacency cast to float64 per GEMM: 8 * PANEL_ROWS * n bytes.
+PANEL_ROWS = 256
+
+
+def _panel_dot(adj: np.ndarray, x: np.ndarray, panel: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """adj @ x written into `out`, casting `adj` to float64 one panel of rows
+    at a time into `panel`, so that no float64 copy of `adj` is made."""
+    height = len(panel)
+    for start in range(0, len(adj), height):
+        rows = adj[start : start + height]
+        np.copyto(panel[: len(rows)], rows)
+        np.dot(panel[: len(rows)], x, out=out[start : start + len(rows)])
+    return out
 
 
 def _dependencies(
@@ -53,16 +66,18 @@ def _dependencies(
 ) -> list[np.ndarray]:
     """Sum of Brandes dependency vectors for each batch of sources.
 
-    `adj[v, w]` holds arc v -> w; `adj_t` is its transpose.  Both are float64,
-    either CSR or dense.  Returns, per batch, the per-node dependency totals
-    with each source's own entry zeroed.  Once `stop` is set, returns before
-    the next batch with the totals so far, which the caller discards.
+    `adj[v, w]` holds arc v -> w; `adj_t` is its transpose.  Both are
+    float64 CSR or both C-contiguous boolean arrays.  Returns, per batch,
+    the per-node dependency totals with each source's own entry zeroed.
+    Once `stop` is set, returns before the next batch with the totals so
+    far, which the caller discards.
 
     The work arrays are allocated once, flat, for the largest batch, and each
     batch views a C-contiguous (n, b) prefix of them, so no batch or level
-    allocates and faults in n x b temporaries of its own; only the products'
-    results are new.  BFS level k is a boolean mask, kept until the backward
-    pass pairs it with level k - 1.
+    allocates and faults in n x b temporaries of its own.  A dense product
+    also writes into one of them, through one reused panel (`_panel_dot`);
+    only the CSR products' results are new.  BFS level k is a boolean mask,
+    kept until the backward pass pairs it with level k - 1.
 
     The first BFS step is the sources' rows of `adj`, gathered, not
     multiplied.  The BFS stops once every (node, source) entry is reached, or
@@ -76,6 +91,15 @@ def _dependencies(
     sigma_buf, delta_buf, coef_buf = (np.empty(size) for _ in range(3))
     unvisited_buf = np.empty(size, dtype=bool)
     level_bufs: list[np.ndarray] = []  # level k's mask in level_bufs[k - 1]
+    if sp.issparse(adj):
+        def product(m, x):
+            return m.dot(x)
+    else:
+        panel = np.empty((min(PANEL_ROWS, n), n))
+        product_buf = np.empty(size)
+
+        def product(m, x):
+            return _panel_dot(m, x, panel, product_buf[: x.size].reshape(x.shape))
 
     totals = []
     for sources in batches:
@@ -111,14 +135,14 @@ def _dependencies(
             if unreached == 0:
                 break
             np.multiply(sigma, newly, out=coef)
-            paths = adj_t.dot(coef)
+            paths = product(adj_t, coef)
 
         delta.fill(0.0)
         for k in range(len(levels) - 1, 0, -1):
             np.add(delta, 1.0, out=coef)
             np.divide(coef, sigma, out=coef, where=levels[k])
             coef *= levels[k]
-            acc = adj.dot(coef)
+            acc = product(adj, coef)
             acc *= sigma
             np.add(delta, acc, out=delta, where=levels[k - 1])
         totals.append(delta.sum(axis=1))
@@ -135,10 +159,10 @@ def betweenness(
     contribute nothing.
 
     A graph with more than `DENSE_DENSITY * n * n` arcs runs on a dense
-    float64 adjacency (8 n^2 bytes) in the calling thread, using the BLAS
-    threads; `jobs` applies only to sparser graphs, whose batches it spreads
-    over that many threads, the calling thread included, sharing the
-    adjacency.  Results do not depend on `jobs`.
+    boolean adjacency (n^2 bytes; 2 n^2 when directed) in the calling
+    thread, using the BLAS threads; `jobs` applies only to sparser graphs,
+    whose batches it spreads over that many threads, the calling thread
+    included, sharing the adjacency.  Results do not depend on `jobs`.
     """
     n = graph.n
     scores = np.zeros(n)
@@ -153,37 +177,14 @@ def betweenness(
 
     dense = graph.adjacency.nnz > DENSE_DENSITY * n * n
     if dense:
-        adj = graph.adjacency.toarray().astype(np.float64)
-        adj_t = adj.T if graph.directed else adj
+        adj = graph.adjacency.toarray()
+        adj_t = np.ascontiguousarray(adj.T) if graph.directed else adj
     else:
         adj = graph.adjacency.astype(np.float64).tocsr()
         adj_t = adj.T.tocsr() if graph.directed else adj
 
-    # one interleaved share per thread, put back in batch order; share 0 runs
-    # here, so the pool starts a thread only for each further share
-    workers = 1 if dense else min(jobs, len(batches))
-    stop = threading.Event()
-
-    def stop_if_failed(share: Future) -> None:
-        if share.exception() is not None:
-            stop.set()
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_dependencies, adj, adj_t, batches[w::workers], stop)
-            for w in range(1, workers)
-        ]
-        for future in futures:
-            future.add_done_callback(stop_if_failed)
-        try:
-            shares = [_dependencies(adj, adj_t, batches[::workers], stop)]
-            shares += [future.result() for future in futures]
-        finally:
-            # a no-op once every share is done; otherwise a share failed, or
-            # this thread was interrupted, and the rest stop at their next batch
-            stop.set()
-    partials = [shares[i % workers][i // workers] for i in range(len(batches))]
-
+    work = partial(_dependencies, adj, adj_t)
+    partials = run_shares(work, batches, 1 if dense else jobs)
     for part in partials:  # fixed reduction order keeps results deterministic
         scores += part
     if not graph.directed:

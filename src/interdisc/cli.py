@@ -80,7 +80,8 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with RunConfig fields; flags override")
     p.add_argument("--jobs", type=int,
                    help="threads, the calling thread included, for betweenness on sparse "
-                        "graphs (dense graphs use the BLAS threads); no effect on export-matrix")
+                        "graphs (dense graphs use the BLAS threads) and for relative-Euclidean "
+                        "diversity; no effect on export-matrix")
 
 
 def _add_run_options(p: argparse.ArgumentParser, scope: bool) -> None:

@@ -6,25 +6,32 @@ p_i * p_j * d(i, j) over ordered pairs i != j.  Pairs whose distance is
 undefined (a partner with an empty vector on the distance axis) contribute
 nothing and are counted separately.  `diversity_all` evaluates every journal
 at once without a dense n x n matrix: (1 - cosine) from the journals'
-distributions times the unit vectors, relative-Euclidean from one sparse
-distance per unordered pair of partners that share a distribution.
+distributions times the unit vectors, relative-Euclidean from one distance
+per unordered pair of partners that share a distribution, built and summed
+in blocks of partner rows that `jobs` threads share.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
 from .corpus import CitationMatrix, Direction
 from .errors import ContractError, EmptyCorpusError, UndefinedIndicatorError
-from .netspace import _l1_normalize_rows, _l2_normalize_rows, _relative_euclidean
+from .netspace import _l1_normalize_rows, _l2_normalize_rows, _relative_euclidean, _row_blocks
+from .shares import run_shares
 
-# Journals per block when evaluating the per-journal quadratic forms; bounds
-# the size of the intermediate sparse products.
+# Journals per block of the (1 - cosine) forms; bounds the size of the
+# intermediate sparse products.
 BATCH_SIZE = 512
+# Upper-triangle partner pairs per block of the relative-Euclidean forms, by
+# an upper bound on each partner row's count; a row over it is a block alone.
+PAIR_BLOCK = 1 << 16
 
 
 @dataclass
@@ -79,6 +86,7 @@ def diversity_all(
     metric: str = "one_minus_cosine",
     exclude_self_citations: bool = False,
     triangle_sum: bool = False,
+    jobs: int = 1,
 ) -> list[DiversityResult]:
     """Diversity for every journal, with distances built on the same axis.
 
@@ -86,7 +94,8 @@ def diversity_all(
     `exclude_self_citations`; the diagonal never contributes to the sum
     since d(i, i) = 0 regardless.  Journals with no off-diagonal partners
     are degenerate with value 0; journals with no vector at all are flagged
-    missing.
+    missing.  Relative-Euclidean blocks are spread over `jobs` threads, the
+    calling thread included; results do not depend on `jobs`.
     """
     if matrix.nnz == 0:
         raise EmptyCorpusError("citation matrix has no cells")
@@ -94,7 +103,7 @@ def diversity_all(
     if metric == "one_minus_cosine":
         all_values = _all_cosine_bilinear
     elif metric == "relative_euclidean":
-        all_values = _all_euclidean_pairs
+        all_values = partial(_all_euclidean_pairs, jobs=jobs)
     else:
         raise UndefinedIndicatorError(f"unknown distance metric: {metric!r}")
     axis = matrix.axis_matrix(direction)
@@ -160,15 +169,6 @@ def _defined_probabilities(
     return p_def, undef.astype(np.int64)
 
 
-def _row_quadratic_forms(p: sp.csr_matrix, m: sp.csr_matrix) -> np.ndarray:
-    """p_j^T M p_j for every row p_j of `p`, in blocks of BATCH_SIZE rows."""
-    out = np.empty(p.shape[0])
-    for start in range(0, p.shape[0], BATCH_SIZE):
-        rows = p[start : start + BATCH_SIZE]
-        out[start : start + BATCH_SIZE] = _row_sums(rows.dot(m).multiply(rows))
-    return out
-
-
 def _all_cosine_bilinear(axis: sp.csr_matrix, p_def: sp.csr_matrix) -> np.ndarray:
     """All (1 - cosine) diversities at once, without the similarity Gram.
 
@@ -192,29 +192,74 @@ def _all_cosine_bilinear(axis: sp.csr_matrix, p_def: sp.csr_matrix) -> np.ndarra
     return values
 
 
-def _all_euclidean_pairs(axis: sp.csr_matrix, p_def: sp.csr_matrix) -> np.ndarray:
-    """All relative-Euclidean diversities from one sparse distance matrix.
+def _pattern(m: sp.csr_matrix) -> sp.csr_matrix:
+    """The stored cells of `m` as True, sharing its index arrays."""
+    return sp.csr_matrix((np.ones(m.nnz, dtype=bool), m.indices, m.indptr), shape=m.shape)
+
+
+def _euclidean_block_forms(
+    prob: sp.csr_matrix,
+    prob_t: sp.csr_matrix,
+    sq: np.ndarray,
+    pattern: sp.csr_matrix,
+    pattern_t: sp.csr_matrix,
+    p_t: sp.csr_matrix,
+    blocks: list[tuple[int, int]],
+    stop: threading.Event,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each block's part of every journal's upper-triangle form, the sum
+    over its partner rows a of P[j, a] (D_blk P^T)[a, j], as the journals j
+    it is nonzero for and their parts.
+
+    The block's pairs are the strict upper triangle of its rows of B^T B,
+    for the pattern B of the distributions; `netspace._relative_euclidean`
+    turns their Gram-form squares into distances, recomputing those that
+    cancel, exactly 0 included, from the differences.
+    """
+    forms = []
+    for a0, a1 in blocks:
+        if stop.is_set():
+            break
+        pairs = sp.triu(pattern_t[a0:a1].dot(pattern), k=a0 + 1, format="csr").astype(np.float64)
+        rows = a0 + np.repeat(np.arange(a1 - a0), np.diff(pairs.indptr))
+        sq_sums = sp.csr_matrix(
+            (sq[rows] + sq[pairs.indices], pairs.indices, pairs.indptr), shape=pairs.shape
+        )
+        dist = sq_sums - 2.0 * pairs.multiply(prob[a0:a1].dot(prob_t))
+        if dist.nnz < pairs.nnz:  # pairs that cancel to exactly 0 were dropped: -1 marks
+            dist = dist - (pairs - pairs.multiply(dist.astype(bool)))  # them for the kernel
+        # every pair is stored again, so dist has the rows of pairs
+        _relative_euclidean(prob, sq, rows, dist.indices, dist.data)
+        form = np.asarray(p_t[a0:a1].multiply(dist.dot(p_t)).sum(axis=0)).ravel()
+        journals = np.flatnonzero(form)  # the only ones this block adds to
+        forms.append((journals, form[journals]))
+    return forms
+
+
+def _all_euclidean_pairs(axis: sp.csr_matrix, p_def: sp.csr_matrix, jobs: int = 1) -> np.ndarray:
+    """All relative-Euclidean diversities, from distances built in blocks.
 
     d(a, b)^2 = |q_a|^2 + |q_b|^2 - 2 q_a.q_b over the probability-normalized
     vectors q.  The square root rules out a bilinear split, so d is evaluated
     explicitly, but only on the unordered pairs a < b that share some
-    journal's distribution (the strict upper triangle of B^T B for the pattern
-    B of `p_def`); d is symmetric, so each form is twice its upper-triangle
-    part.  `netspace._relative_euclidean` turns the squares into distances,
-    recomputing those that cancel, exactly 0 included, from the differences.
+    journal's distribution; d is symmetric, so each form is twice its
+    upper-triangle part.  Blocks of partner rows, of at most PAIR_BLOCK
+    pairs by a bound on each row's count, hold the pairs, distances and
+    products of only their rows.  They are spread over `jobs` threads and
+    their parts summed in block order, so the result does not depend on
+    `jobs`.
     """
     prob, _ = _l1_normalize_rows(axis)
-    pattern = p_def.astype(bool).astype(np.int32)
-    pairs = sp.triu(pattern.T.dot(pattern), k=1).tocsr()
-    pairs.data[:] = 1.0
     sq = _row_sums(prob.multiply(prob))
-    row_of = np.repeat(np.arange(pairs.shape[0]), np.diff(pairs.indptr))
-    sq_sums = sp.csr_matrix(
-        (sq[row_of] + sq[pairs.indices], pairs.indices, pairs.indptr), shape=pairs.shape
-    )
-    dist = (sq_sums - 2.0 * pairs.multiply(prob.dot(prob.T))).tocsr()
-    if dist.nnz < pairs.nnz:  # pairs that cancel to exactly 0 were dropped: -1 marks
-        dist = dist - (pairs - pairs.multiply(dist.astype(bool)))  # them for the kernel
-    # every pair is stored again, so dist has the rows of pairs
-    _relative_euclidean(prob, sq, row_of, dist.indices, dist.data)
-    return 2.0 * _row_quadratic_forms(p_def, dist)
+    p_t = p_def.T.tocsr()
+    pattern, pattern_t = _pattern(p_def), _pattern(p_t)
+    # row a pairs with at most n - 1 - a partners above it, and with at most
+    # s - 1 through each journal of support s whose distribution holds it
+    support = np.diff(p_def.indptr)
+    bound = np.minimum(np.arange(len(sq) - 1, -1, -1), pattern_t.dot(np.maximum(support - 1, 0)))
+    blocks = _row_blocks(bound, PAIR_BLOCK)
+    work = partial(_euclidean_block_forms, prob, prob.T.tocsr(), sq, pattern, pattern_t, p_t)
+    values = np.zeros(p_def.shape[0])
+    for journals, parts in run_shares(work, blocks, jobs):  # in block order, for any jobs
+        values[journals] += parts
+    return 2.0 * values

@@ -38,8 +38,9 @@ from .errors import CountOverflowError, EmptyCorpusError, UndefinedIndicatorErro
 # leaves rounding noise that the square root lifts to ~1e-8.
 CANCELLATION_RATIO = 1e-3
 
-# rows of a dense matrix that `export_matrix_market` writes per mmwrite call
-EXPORT_BLOCK_ROWS = 256
+# cells, stored or (dense) not, of the rows `export_matrix_market` writes per
+# mmwrite call; a row with more is a block of its own
+EXPORT_BLOCK_CELLS = 1 << 15
 
 
 def _relative_euclidean(
@@ -143,16 +144,17 @@ def cooccurrence(matrix: CitationMatrix, axis: Direction | str) -> sp.csr_matrix
 def cooccurrence_support(
     matrix: CitationMatrix, axis: Direction | str
 ) -> sp.csr_matrix:
-    """Boolean support of the co-occurrence product, without the products.
+    """Boolean support of the co-occurrence product, without the products:
+    the boolean product, whose sums are ORs.
 
     Shares its off-diagonal support with the cosine matrix of the same axis,
     so binarized graphs built from it are identical to cosine-based ones.
     """
     _require_nonempty(matrix)
-    a = matrix.axis_matrix(axis).astype(bool).astype(np.int32)
+    a = matrix.axis_matrix(axis).astype(bool)
     support = a.dot(a.T)
     support.eliminate_zeros()
-    return support.astype(bool, copy=False)
+    return support
 
 
 def binarize(values: np.ndarray | sp.spmatrix, threshold: float = 0.0) -> BinaryGraph:
@@ -217,39 +219,65 @@ def distance_matrix(
     return dense
 
 
-def _lower_cells(values: np.ndarray, start: int) -> np.ndarray:
-    """The cells `mmwrite` writes of rows [start, start + EXPORT_BLOCK_ROWS)
-    of a symmetric dense matrix: nonzero (NaN included) and on or below the
-    diagonal, over the columns up to the block's last row."""
-    stop = min(start + EXPORT_BLOCK_ROWS, len(values))
-    return (values[start:stop, :stop] != 0) & np.tri(stop - start, stop, start, dtype=bool)
+def _row_blocks(counts: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Consecutive row ranges [start, stop) whose `counts` sum to at most
+    `budget`; a row over it is a range of its own."""
+    ends = np.cumsum(counts)
+    blocks = []
+    start = 0
+    while start < len(counts):
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + budget, side="right")))
+        blocks.append((start, stop))
+        start = stop
+    return blocks
+
+
+def _lower_cells(
+    values: np.ndarray | sp.csr_matrix, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the cells `mmwrite` writes of rows
+    [start, stop) of a symmetric matrix, in its order: on or below the
+    diagonal, and stored (sparse) or nonzero, NaN included (dense)."""
+    if sp.issparse(values):
+        lo, hi = values.indptr[start], values.indptr[stop]
+        rows = np.repeat(np.arange(start, stop), np.diff(values.indptr[start : stop + 1]))
+        cols = values.indices[lo:hi]
+        keep = cols <= rows
+        return rows[keep], cols[keep], values.data[lo:hi][keep]
+    cells = (values[start:stop, :stop] != 0) & np.tri(stop - start, stop, start, dtype=bool)
+    rows, cols = np.nonzero(cells)
+    rows += start
+    return rows, cols, values[rows, cols]
 
 
 def export_matrix_market(values: np.ndarray | sp.spmatrix, path: str | Path) -> None:
     """Write a symmetric pairwise matrix in Matrix Market format.
 
-    A sparse matrix is written as it is, in one `mmwrite` call; a dense
-    array in blocks of `EXPORT_BLOCK_ROWS` rows, so that no coordinate list
-    of all its cells is made, with the bytes of that one call.  An integer
-    dtype gets the ``integer`` field, any other the ``real`` field.  NaN
+    The matrix is written in blocks of rows holding at most
+    `EXPORT_BLOCK_CELLS` cells each, stored cells for a sparse matrix and
+    all n for a dense row, with the bytes of one `mmwrite` call on the whole
+    matrix; no coordinate list of all its cells is made.  An integer dtype
+    gets the ``integer`` field, any other the ``real`` field.  NaN
     (undefined) cells are written as-is so the gaps stay visible to external
     tools.  A path that cannot be written is a data error.
     """
     field = "integer" if np.issubdtype(values.dtype, np.integer) else "real"
+    n = values.shape[0]
+    if sp.issparse(values):
+        values = sp.csr_matrix(values)
+        cells = np.diff(values.indptr)
+    else:
+        cells = np.full(n, n)
+    blocks = _row_blocks(cells, EXPORT_BLOCK_CELLS)
+    nnz = sum(len(_lower_cells(values, start, stop)[0]) for start, stop in blocks)
     # mmwrite given a path name ignores a failed open and writes nothing
     with file_errors(path), open(path, "wb") as fh:
-        if sp.issparse(values):
-            scipy.io.mmwrite(fh, sp.coo_matrix(values), field=field, symmetry="symmetric")
-            return
-        n = len(values)
-        starts = range(0, n, EXPORT_BLOCK_ROWS)
-        nnz = sum(np.count_nonzero(_lower_cells(values, start)) for start in starts)
         fh.write(f"%%MatrixMarket matrix coordinate {field} symmetric\n%\n{n} {n} {nnz}\n".encode())
-        for start in starts:
-            rows, cols = np.nonzero(_lower_cells(values, start))
-            rows += start
+        for start, stop in blocks:
+            rows, cols, data = _lower_cells(values, start, stop)
             block = io.BytesIO()
-            coo = sp.coo_matrix((values[rows, cols], (rows, cols)), shape=values.shape)
+            coo = sp.coo_matrix((data, (rows, cols)), shape=values.shape)
             scipy.io.mmwrite(block, coo, field=field, symmetry="general")
             block.seek(0)
             for _ in range(3):  # the block's own header: banner, comment, size

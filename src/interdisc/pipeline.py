@@ -2,7 +2,10 @@
 
 Every report embeds the resolved configuration and a SHA-256 digest of each
 input file, and contains nothing run-dependent beyond that, so identical
-inputs and options produce byte-identical outputs.  Each report format has
+inputs and options produce byte-identical outputs.  `jobs` changes no bit
+of a result; the BLAS thread count (`OPENBLAS_NUM_THREADS`) can change the
+last bit of dense-graph betweenness, which `indicators.json` writes in
+full (the CSV reports round to 9 digits).  Each report format has
 one encoder: `_csv_row` spells every CSV cell, and `_json_array`, the
 `default=` hook of `_write_json`, every numpy array in a JSON report.
 """
@@ -213,7 +216,7 @@ def _family_columns(
         return degree, totals
     results = diversity_all(  # the Rao-Stirling families are named by their metric
         matrix, direction, family, triangle_sum=config.triangle_sum,
-        exclude_self_citations=config.exclude_self_citations_from_p,
+        exclude_self_citations=config.exclude_self_citations_from_p, jobs=config.jobs,
     )
     return (np.array([np.nan if r.missing else r.d_value for r in results]),)
 

@@ -345,6 +345,42 @@ def test_criterion_11_determinism(tmp_path):
     _report(11, "two identical pipeline runs produced byte-identical CSV/JSON reports")
 
 
+def _two_hop_betweenness(adj: np.ndarray, nodes: np.ndarray, height: int = 1024) -> np.ndarray:
+    """Asserts that the undirected boolean graph `adj` has diameter <= 2, and
+    returns the betweenness that gives each of `nodes`: the sum of
+    1 / |N(s) & N(t)| over the non-adjacent pairs s < t of its neighbours.
+
+    Common-neighbour counts are formed in blocks of rows of A.A, in float32
+    (exact below 2**24), over the blocks on and above the diagonal.
+    """
+    n = len(adj)
+    member = adj[nodes].astype(np.float64)  # each node's neighbours
+    scores = np.zeros(len(nodes))
+    for r0 in range(0, n, height):
+        rows = np.arange(r0, min(r0 + height, n))
+        left = adj[rows].astype(np.float32)
+        for c0 in range(r0, n, height):
+            cols = np.arange(c0, min(c0 + height, n))
+            common = left @ adj[cols].astype(np.float32).T
+            pairs = ~adj[np.ix_(rows, cols)] & (rows[:, None] < cols[None, :])
+            assert np.all(common[pairs] > 0), "a pair of nodes at distance 3 or more"
+            inverse = np.divide(1.0, common, out=np.zeros(common.shape), where=pairs,
+                                dtype=np.float64)
+            scores += ((member[:, rows] @ inverse) * member[:, cols]).sum(axis=1)
+    return scores
+
+
+def _explicit_relative_euclidean(axis: sp.csr_matrix, journal: int) -> float:
+    """`naive_rao` of a journal's distribution over its partners' distances,
+    each the norm of the difference of two probability-normalized vectors."""
+    lo, hi = axis.indptr[journal], axis.indptr[journal + 1]
+    ids, counts = axis.indices[lo:hi], axis.data[lo:hi].astype(np.float64)
+    q = axis[ids].toarray().astype(np.float64)
+    q /= q.sum(axis=1, keepdims=True)
+    distances = np.array([np.sqrt(((q - q[a]) ** 2).sum(axis=1)) for a in range(len(ids))])
+    return naive_rao(counts / counts.sum(), distances)
+
+
 @pytest.mark.slow
 def test_criterion_10_scale(tmp_path):
     jobs = min(8, os.cpu_count() or 1)
@@ -363,16 +399,6 @@ def test_criterion_10_scale(tmp_path):
     assert n >= 7900
     assert matrix.nnz >= 1_400_000, f"only {matrix.nnz} cells"
 
-    betw_elapsed = 0.0
-    for axis in (Direction.CITED, Direction.CITING):
-        graph = binarize(cooccurrence_support(matrix, axis))
-        start = time.time()
-        scores = betweenness(graph, jobs=jobs, batch_size=128)
-        elapsed = time.time() - start
-        assert elapsed < 900.0, f"{axis.value} betweenness took {elapsed:.0f}s"
-        assert np.all(scores >= 0)
-        betw_elapsed = max(betw_elapsed, elapsed)
-
     registry = JournalRegistry()
     for name in corpus.names:
         registry.add(name)
@@ -380,12 +406,45 @@ def test_criterion_10_scale(tmp_path):
     config = RunConfig(jobs=jobs)
     table = compute_indicator_table(matrix, registry, config)
     pipeline_elapsed = time.time() - start
+    pipeline_peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6
     per_direction = [c for c in table.columns if c.endswith("_cited")]
     assert len([c for c in per_direction if c != "support_cited"]) == 12
+    assert table.journal_ids == list(range(n))
+
+    betw_elapsed = 0.0
+    for axis in (Direction.CITED, Direction.CITING):
+        graph = binarize(cooccurrence_support(matrix, axis))
+        start = time.time()
+        scores = betweenness(graph, jobs=jobs, batch_size=128)
+        elapsed = time.time() - start
+        assert elapsed < 900.0, f"{axis.value} betweenness took {elapsed:.0f}s"
+        betw_elapsed = max(betw_elapsed, elapsed)
+        # on a graph of diameter 2 every non-adjacent pair adds exactly 1
+        adj = graph.adjacency.toarray()
+        degree = adj.sum(axis=1)
+        order = np.argsort(degree, kind="stable")
+        nodes = order[[0, n // 2, n - 1]]  # least, median and most connected
+        two_hop = _two_hop_betweenness(adj, nodes)
+        del adj
+        non_adjacent = n * (n - 1) // 2 - graph.edge_count
+        assert scores.sum() == pytest.approx(non_adjacent, rel=1e-12)
+        np.testing.assert_allclose(scores[nodes], two_hop, rtol=1e-12, atol=0)
+        column = table.column(f"betweenness_cosine_{axis.value}")
+        np.testing.assert_allclose(column, scores, rtol=1e-12, atol=0)
+
+        values = table.column(f"rao_stirling_relative_euclidean_{axis.value}")
+        vectors = matrix.axis_matrix(axis)
+        support = np.diff(vectors.indptr)
+        small = np.flatnonzero((support > 1) & (support <= 300))
+        sampled = small[np.argsort(support[small], kind="stable")[[0, len(small) // 2, -1]]]
+        for journal in sampled:
+            want = _explicit_relative_euclidean(vectors, journal)
+            assert values[journal] == pytest.approx(want, abs=1e-12), journal
 
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6
     assert peak_gb < 16.0, f"peak RSS {peak_gb:.1f} GB"
-    _report(10, f"n={n}, {matrix.nnz} cells: slowest co-occurrence betweenness "
-                f"{betw_elapsed:.0f}s on {jobs} workers (<900s); full "
-                f"12-indicator pipeline {pipeline_elapsed:.0f}s; peak "
-                f"{peak_gb:.2f} GB (<16)")
+    _report(10, f"n={n}, {matrix.nnz} cells: full 12-indicator pipeline "
+                f"{pipeline_elapsed:.0f}s, process peak {pipeline_peak_gb:.2f} GB "
+                f"after it; slowest co-occurrence betweenness {betw_elapsed:.0f}s on "
+                f"{jobs} workers (<900s), diameter 2, sums and sampled values exact; "
+                f"peak {peak_gb:.2f} GB (<16)")

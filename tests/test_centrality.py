@@ -20,6 +20,7 @@ from interdisc.centrality import (
 from interdisc.corpus import CitationMatrix, Direction
 from interdisc.netspace import BinaryGraph, binarize, binarize_directed, cooccurrence_support
 from oracles import brandes_batch_every_level, brute_betweenness
+from test_netspace import traced_peak
 
 BETWEENNESS_COLUMNS = [
     f"betweenness_{kind}_{direction}"
@@ -265,15 +266,28 @@ class TestDenseAndSparseAdjacency:
             assert np.allclose(got, want, atol=1e-9), f"trial {trial}"
 
     @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
-    def test_dependencies_same_on_ndarray_and_csr(self, directed):
+    @pytest.mark.parametrize("panel_rows", [7, 40, 256], ids=["7-rows", "40-rows", "one-panel"])
+    def test_dependencies_same_on_ndarray_and_csr(self, directed, panel_rows, monkeypatch):
+        # the boolean adjacency betweenness runs on, cast in panels of 7 of
+        # its 80 rows (the last one 3), of half of them, or all at once
         rng = np.random.default_rng(42)
-        adj = parted_graph(rng, 2, 40, 0.15, directed).astype(np.float64)
-        csr = sp.csr_matrix(adj)
+        adj = parted_graph(rng, 2, 40, 0.15, directed)
+        csr = sp.csr_matrix(adj.astype(np.float64))
         sources = np.arange(3, 40)
-        (dense,) = _dependencies(adj, adj.T, [sources])
+        monkeypatch.setattr(centrality, "PANEL_ROWS", panel_rows)
+        (dense,) = _dependencies(adj, transposed(adj, directed), [sources])
         (sparse,) = _dependencies(csr, csr.T.tocsr(), [sources])
         assert np.any(sparse > 0)
         np.testing.assert_allclose(dense, sparse, rtol=1e-12, atol=0)
+
+    def test_dense_graph_holds_no_float64_adjacency(self):
+        # n^2 bytes of booleans, one 256-row float64 panel and the n x b work
+        # arrays; a float64 adjacency alone would take 8 n^2
+        n = 2000
+        adj = np.random.default_rng(46).random((n, n)) < 0.15
+        graph = graph_from_dense(adj, directed=False)
+        assert runs_dense(graph)
+        assert traced_peak(betweenness, graph, 1, 32) < 8 * n * n / 2
 
     def test_blas_thread_count_changes_only_last_bits(self, tmp_path):
         # Only --jobs is bitwise: the dense backward sums are BLAS GEMMs whose
@@ -352,16 +366,31 @@ def level_test_graphs() -> dict[str, tuple[np.ndarray, bool]]:
 LEVEL_TEST_GRAPHS = level_test_graphs()
 
 
-def counting(adj: np.ndarray, fmt: str):
-    """`adj` as an ndarray or CSR subclass whose `.dot` records each call."""
+def as_format(adj: np.ndarray, fmt: str):
+    """A float64 adjacency in the form `betweenness` gives `_dependencies`:
+    boolean ndarray or float64 CSR."""
+    return sp.csr_matrix(adj) if fmt == "csr" else adj.astype(bool)
+
+
+def transposed(adj, directed: bool):
+    if not directed:
+        return adj
+    return adj.T.tocsr() if sp.issparse(adj) else np.ascontiguousarray(adj.T)
+
+
+def counting(adj: np.ndarray, fmt: str, monkeypatch):
+    """`adj` in `fmt`, and the list that records each product `_dependencies`
+    runs on it (a CSR subclass's `.dot`, or each `_panel_dot`)."""
     calls = []
     if fmt == "ndarray":
-        class CountingArray(np.ndarray):
-            def dot(self, other):
-                calls.append(other.shape)
-                return np.asarray(self).dot(other)
+        panel_dot = centrality._panel_dot
 
-        return adj.view(CountingArray), calls
+        def counted(m, x, *args):
+            calls.append(x.shape)
+            return panel_dot(m, x, *args)
+
+        monkeypatch.setattr(centrality, "_panel_dot", counted)
+        return as_format(adj, fmt), calls
 
     class CountingCSR(sp.csr_matrix):
         def dot(self, other):
@@ -381,13 +410,14 @@ class TestLevelSkipping:
     @pytest.mark.parametrize("name", sorted(LEVEL_TEST_GRAPHS))
     def test_bitwise_equal_to_every_level_recurrence(self, name, batch, fmt):
         adj, directed = LEVEL_TEST_GRAPHS[name]
-        if fmt == "csr":
-            adj = sp.csr_matrix(adj)
-        adj_t = (adj.T.tocsr() if fmt == "csr" else adj.T) if directed else adj
+        graph = as_format(adj, fmt)
+        if fmt == "csr":  # the recurrence in the same product form
+            adj = graph
+        adj_t = transposed(adj, directed)
         n = adj.shape[0]
         for start in range(0, n, batch):
             sources = np.arange(start, min(start + batch, n))
-            (got,) = _dependencies(adj, adj_t, [sources])
+            (got,) = _dependencies(graph, transposed(graph, directed), [sources])
             want = brandes_batch_every_level(adj, adj_t, sources)
             assert np.array_equal(got, want), f"sources {start}..{sources[-1]}"
 
@@ -396,8 +426,9 @@ class TestLevelSkipping:
         # One call runs deep and shallow batches through the same work arrays:
         # the 11-hop path, isolated nodes, the random part, and a short last batch.
         adj, _ = LEVEL_TEST_GRAPHS["deep_path_undirected"]
+        graph = as_format(adj, fmt)
         if fmt == "csr":
-            adj = sp.csr_matrix(adj)
+            adj = graph
         batches = [
             np.arange(0, 12),
             np.arange(12, 24),
@@ -407,7 +438,7 @@ class TestLevelSkipping:
             np.arange(48, 60),
             np.array([3, 8, 40]),
         ]
-        got = _dependencies(adj, adj, batches)
+        got = _dependencies(graph, graph, batches)
         assert len(got) == len(batches)
         for sources, vector in zip(batches, got):
             want = brandes_batch_every_level(adj, adj, sources)
@@ -433,8 +464,8 @@ class TestLevelSkipping:
         ],
         ids=["star_all", "star_leaf", "k33_all", "k33_one", "k33_two"],
     )
-    def test_two_products_per_batch_at_depth_two(self, adj, sources, fmt):
-        counted, calls = counting(adj, fmt)
+    def test_two_products_per_batch_at_depth_two(self, adj, sources, fmt, monkeypatch):
+        counted, calls = counting(adj, fmt, monkeypatch)
         sources = np.array(sources)
         (got,) = _dependencies(counted, counted, [sources])
         assert len(calls) == 2
@@ -442,9 +473,9 @@ class TestLevelSkipping:
 
     @pytest.mark.parametrize("fmt", ["ndarray", "csr"])
     @pytest.mark.parametrize("length", [1, 2, 3, 5, 8])
-    def test_path_of_depth_l_takes_two_l_minus_two_products(self, length, fmt):
+    def test_path_of_depth_l_takes_two_l_minus_two_products(self, length, fmt, monkeypatch):
         adj = path_graph(length)
-        counted, calls = counting(adj, fmt)
+        counted, calls = counting(adj, fmt, monkeypatch)
         (got,) = _dependencies(counted, counted, [np.array([0])])
         assert len(calls) == 2 * (length - 1)
         assert np.array_equal(got, brandes_batch_every_level(adj, adj, np.array([0])))

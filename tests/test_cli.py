@@ -653,17 +653,17 @@ class TestExportMatrix:
         scipy.io.mmwrite(str(by_path), sp.coo_matrix(dense), field="real", symmetry="symmetric")
         assert target.read_bytes() == by_path.read_bytes()
 
-    def test_failed_export_keeps_the_previous_file(self, edges_path, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("kind", ["relative_euclidean", "cosine"], ids=["dense", "sparse"])
+    def test_failed_export_keeps_the_previous_file(self, edges_path, tmp_path, monkeypatch, kind):
         import scipy.io
 
         from interdisc import netspace
 
         target = tmp_path / "d.mtx"
-        argv = ["export-matrix", "--edges", edges_path, "--kind", "relative_euclidean",
-                "--out", target]
+        argv = ["export-matrix", "--edges", edges_path, "--kind", kind, "--out", target]
         assert run(argv) == 0
         before = target.read_bytes()
-        monkeypatch.setattr(netspace, "EXPORT_BLOCK_ROWS", 1)  # one block per journal
+        monkeypatch.setattr(netspace, "EXPORT_BLOCK_CELLS", 1)  # one block per journal
         mmwrite, calls = scipy.io.mmwrite, []
 
         def fail_second_block(*args, **kwargs):

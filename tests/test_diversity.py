@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import random_sparse_counts
+from interdisc import diversity
 from interdisc.corpus import CitationMatrix, Direction, load_edge_list
 from interdisc.diversity import diversity_all, rao_stirling
 from interdisc.errors import ContractError
-from interdisc.netspace import distance_matrix
+from interdisc.netspace import binarize, cooccurrence_support, distance_matrix
 from oracles import naive_rao
+from test_netspace import cites_each, traced_peak
 
 
 def matrix_from_dense(dense) -> CitationMatrix:
@@ -245,3 +247,59 @@ class TestDiversityAll:
         )
         # dropping dominant self-citation mass boosts the off-diagonal products
         assert drop[0].d_value > keep[0].d_value
+
+
+@pytest.mark.filterwarnings("ignore:.*undefined distances")
+class TestRelativeEuclideanBlocks:
+    """Relative-Euclidean forms are built in blocks of partner rows, which
+    `jobs` threads share, and summed in block order."""
+
+    @staticmethod
+    def corpus() -> CitationMatrix:
+        rng = np.random.default_rng(46)
+        rows, cols, counts = random_sparse_counts(rng, 60, density=0.15)
+        keep = rows > 2  # journals 0-2 are never cited: undefined cited pairs
+        return CitationMatrix(60, rows[keep], cols[keep], counts[keep])
+
+    @pytest.mark.parametrize("direction", [Direction.CITED, Direction.CITING])
+    def test_any_jobs_gives_the_same_bits(self, direction, monkeypatch):
+        monkeypatch.setattr(diversity, "PAIR_BLOCK", 40)  # dozens of blocks
+        m = self.corpus()
+        runs = [
+            [r.d_value for r in diversity_all(m, direction, "relative_euclidean", jobs=jobs)]
+            for jobs in (1, 2, 3, 8)
+        ]
+        assert np.any(np.array(runs[0]) > 0)
+        for run in runs[1:]:
+            assert np.array_equal(run, runs[0])
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    @pytest.mark.parametrize("direction", [Direction.CITED, Direction.CITING])
+    def test_one_partner_row_a_block_matches_naive(self, direction, exclude_self, monkeypatch):
+        monkeypatch.setattr(diversity, "PAIR_BLOCK", 1)  # every row with pairs alone
+        m = self.corpus()
+        axis = m.axis_matrix(direction)
+        dist = distance_matrix(m, direction, "relative_euclidean")
+        results = diversity_all(
+            m, direction, "relative_euclidean", exclude_self_citations=exclude_self, jobs=3
+        )
+        for r in results:
+            jid = r.journal_id
+            lo, hi = axis.indptr[jid], axis.indptr[jid + 1]
+            ids, w = axis.indices[lo:hi], axis.data[lo:hi].astype(np.float64)
+            if exclude_self:
+                ids, w = ids[ids != jid], w[ids != jid]
+            want = naive_rao(w / w.sum(), dist[np.ix_(ids, ids)]) if ids.size else 0.0
+            assert r.d_value == pytest.approx(want, abs=1e-12)
+
+    def test_peak_follows_the_block_not_the_pairs(self, monkeypatch):
+        # ~0.4M partner pairs of the cited distributions (the citing
+        # co-occurrence edges); one float64 CSR of them takes 12 bytes a pair
+        m = cites_each(1000, 40)
+        pairs = binarize(cooccurrence_support(m, Direction.CITING)).edge_count
+        monkeypatch.setattr(diversity, "PAIR_BLOCK", 1 << 13, raising=False)
+        blocked = traced_peak(diversity_all, m, Direction.CITED, "relative_euclidean")
+        monkeypatch.setattr(diversity, "PAIR_BLOCK", 1 << 40, raising=False)
+        whole = traced_peak(diversity_all, m, Direction.CITED, "relative_euclidean")
+        assert blocked < 16 * pairs
+        assert blocked < whole / 4

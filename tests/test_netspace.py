@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import random_sparse_counts
+from interdisc import netspace
 from interdisc.corpus import CitationMatrix, Direction
 from interdisc.errors import CountOverflowError
 from interdisc.netspace import (
@@ -287,6 +288,17 @@ class TestBinarize:
         assert peak < 4 * size
 
 
+    @pytest.mark.parametrize("axis", [Direction.CITED, Direction.CITING])
+    def test_support_is_the_boolean_product(self, axis):
+        # sums of booleans are ORs: no int32 product (8 bytes an entry) to
+        # cast, beside the 5 bytes an entry of the result
+        m = cites_each(1000, k=30)
+        support = cooccurrence_support(m, axis)
+        assert support.dtype == bool
+        size = support.data.nbytes + support.indices.nbytes + support.indptr.nbytes
+        assert traced_peak(cooccurrence_support, m, axis) < 1.5 * size
+
+
 class TestBinarizeDirected:
     def test_single_cell_arc(self):
         # cell (cited=0, citing=1): arc 1 -> 0
@@ -453,13 +465,17 @@ class TestExport:
         back = scipy.io.mmread(str(path)).toarray()
         assert np.allclose(back, cos, atol=1e-12)
 
+    @pytest.mark.parametrize("cells", [1, 700, 1 << 15])
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
     @pytest.mark.parametrize("field", ["real", "integer"])
-    def test_dense_row_blocks_write_the_one_call_bytes(self, tmp_path, n, field):
+    def test_dense_row_blocks_write_the_one_call_bytes(
+        self, tmp_path, monkeypatch, n, field, cells
+    ):
         import scipy.io
 
         # zeros, integer values, E-exponent values and (real) NaN rows and
-        # columns, across block edges
+        # columns, across block edges: a block of every row, of a row or two,
+        # and of 54 rows or more
         rng = np.random.default_rng(n)
         values = rng.random((n, n)) * 1000
         values[rng.random((n, n)) < 0.2] = 0.0
@@ -472,6 +488,29 @@ class TestExport:
             undefined = rng.random(n) < 0.1
             values[undefined] = values[:, undefined] = np.nan
         values = np.tril(values) + np.tril(values, -1).T
+        monkeypatch.setattr(netspace, "EXPORT_BLOCK_CELLS", cells)
+        export_matrix_market(values, tmp_path / "blocks.mtx")
+        with open(tmp_path / "one.mtx", "wb") as fh:
+            scipy.io.mmwrite(fh, sp.coo_matrix(values), field=field, symmetry="symmetric")
+        assert (tmp_path / "blocks.mtx").read_bytes() == (tmp_path / "one.mtx").read_bytes()
+
+    @pytest.mark.parametrize("cells", [1, 37, 1000, 1 << 15])
+    @pytest.mark.parametrize("axis", [Direction.CITED, Direction.CITING])
+    @pytest.mark.parametrize("kind", ["cosine", "cooccurrence"])
+    def test_sparse_row_blocks_write_the_one_call_bytes(
+        self, tmp_path, monkeypatch, kind, axis, cells
+    ):
+        import scipy.io
+
+        # 300 journals citing 8 each; journals 0-2 neither cite nor are cited,
+        # so their rows are empty
+        counts = cites_each(300, 8).tocsr().tocoo()
+        keep = (counts.row > 2) & (counts.col > 2)
+        m = CitationMatrix(300, counts.row[keep], counts.col[keep], counts.data[keep])
+        values = cosine_matrix(m, axis) if kind == "cosine" else cooccurrence(m, axis)
+        assert np.array_equal(np.flatnonzero(np.diff(values.indptr) == 0), [0, 1, 2])
+        field = "real" if kind == "cosine" else "integer"
+        monkeypatch.setattr(netspace, "EXPORT_BLOCK_CELLS", cells)
         export_matrix_market(values, tmp_path / "blocks.mtx")
         with open(tmp_path / "one.mtx", "wb") as fh:
             scipy.io.mmwrite(fh, sp.coo_matrix(values), field=field, symmetry="symmetric")
@@ -483,3 +522,9 @@ class TestExport:
         n = 3000
         values = np.random.default_rng(21).random((n, n))
         assert traced_peak(export_matrix_market, values, os.devnull) < 8 * n * n
+
+    def test_sparse_write_holds_no_coordinate_list(self):
+        # a coordinate list of all ~0.78M stored cells needs a row index for
+        # each, 4 bytes a cell beyond what the CSR matrix shares with it
+        values = cosine_matrix(cites_each(1000, 40), Direction.CITED)
+        assert traced_peak(export_matrix_market, values, os.devnull) < 4 * values.nnz
