@@ -8,7 +8,7 @@ nothing and are counted separately.  `diversity_all` evaluates every journal
 at once without a dense n x n matrix: (1 - cosine) from the journals'
 distributions times the unit vectors, relative-Euclidean from one distance
 per unordered pair of partners that share a distribution, built and summed
-in blocks of partner rows that `jobs` threads share.
+in blocks of partner rows, in groups that `jobs` threads share.
 """
 
 from __future__ import annotations
@@ -23,15 +23,18 @@ import scipy.sparse as sp
 
 from .corpus import CitationMatrix, Direction
 from .errors import ContractError, EmptyCorpusError, UndefinedIndicatorError
-from .netspace import _l1_normalize_rows, _l2_normalize_rows, _relative_euclidean, _row_blocks
-from .shares import run_shares
+from .netspace import _l1_normalize_rows, _l2_normalize_rows, _relative_euclidean
+from .shares import row_blocks, run_shares
 
 # Journals per block of the (1 - cosine) forms; bounds the size of the
 # intermediate sparse products.
 BATCH_SIZE = 512
-# Upper-triangle partner pairs per block of the relative-Euclidean forms, by
-# an upper bound on each partner row's count; a row over it is a block alone.
-PAIR_BLOCK = 1 << 16
+# Partner pairs per block of the relative-Euclidean forms, by an upper bound
+# on the whole rows of the block's products; a row over it is a block alone.
+PAIR_BLOCK = 1 << 20
+# Most groups of consecutive blocks that threads share, each summed into one
+# vector of all journals; their count does not depend on jobs.
+PAIR_GROUPS = 32
 
 
 @dataclass
@@ -197,42 +200,44 @@ def _pattern(m: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(m.nnz, dtype=bool), m.indices, m.indptr), shape=m.shape)
 
 
-def _euclidean_block_forms(
+def _euclidean_group_forms(
     prob: sp.csr_matrix,
     prob_t: sp.csr_matrix,
     sq: np.ndarray,
     pattern: sp.csr_matrix,
     pattern_t: sp.csr_matrix,
     p_t: sp.csr_matrix,
-    blocks: list[tuple[int, int]],
+    groups: list[list[tuple[int, int]]],
     stop: threading.Event,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each block's part of every journal's upper-triangle form, the sum
-    over its partner rows a of P[j, a] (D_blk P^T)[a, j], as the journals j
-    it is nonzero for and their parts.
+) -> list[np.ndarray]:
+    """Each group's part of every journal's upper-triangle form, the sum
+    over its blocks' partner rows a of P[j, a] (D_blk P^T)[a, j], added up
+    in block order.
 
-    The block's pairs are the strict upper triangle of its rows of B^T B,
-    for the pattern B of the distributions; `netspace._relative_euclidean`
-    turns their Gram-form squares into distances, recomputing those that
-    cancel, exactly 0 included, from the differences.
+    A block's pairs are the strict upper triangle of its rows of B^T B, for
+    the pattern B of the distributions; `netspace._relative_euclidean` turns
+    their Gram-form squares into distances, recomputing those that cancel,
+    exactly 0 included, from the differences.
     """
     forms = []
-    for a0, a1 in blocks:
-        if stop.is_set():
-            break
-        pairs = sp.triu(pattern_t[a0:a1].dot(pattern), k=a0 + 1, format="csr").astype(np.float64)
-        rows = a0 + np.repeat(np.arange(a1 - a0), np.diff(pairs.indptr))
-        sq_sums = sp.csr_matrix(
-            (sq[rows] + sq[pairs.indices], pairs.indices, pairs.indptr), shape=pairs.shape
-        )
-        dist = sq_sums - 2.0 * pairs.multiply(prob[a0:a1].dot(prob_t))
-        if dist.nnz < pairs.nnz:  # pairs that cancel to exactly 0 were dropped: -1 marks
-            dist = dist - (pairs - pairs.multiply(dist.astype(bool)))  # them for the kernel
-        # every pair is stored again, so dist has the rows of pairs
-        _relative_euclidean(prob, sq, rows, dist.indices, dist.data)
-        form = np.asarray(p_t[a0:a1].multiply(dist.dot(p_t)).sum(axis=0)).ravel()
-        journals = np.flatnonzero(form)  # the only ones this block adds to
-        forms.append((journals, form[journals]))
+    for group in groups:
+        form = np.zeros(p_t.shape[1])
+        for a0, a1 in group:
+            if stop.is_set():
+                return forms
+            pairs = sp.triu(pattern_t[a0:a1].dot(pattern), k=a0 + 1, format="csr")
+            pairs = pairs.astype(np.float64)
+            rows = a0 + np.repeat(np.arange(a1 - a0), np.diff(pairs.indptr))
+            sq_sums = sp.csr_matrix(
+                (sq[rows] + sq[pairs.indices], pairs.indices, pairs.indptr), shape=pairs.shape
+            )
+            dist = sq_sums - 2.0 * pairs.multiply(prob[a0:a1].dot(prob_t))
+            if dist.nnz < pairs.nnz:  # pairs that cancel to exactly 0 were dropped: -1 marks
+                dist = dist - (pairs - pairs.multiply(dist.astype(bool)))  # them for the kernel
+            # every pair is stored again, so dist has the rows of pairs
+            _relative_euclidean(prob, sq, rows, dist.indices, dist.data)
+            form += np.asarray(p_t[a0:a1].multiply(dist.dot(p_t)).sum(axis=0)).ravel()
+        forms.append(form)
     return forms
 
 
@@ -243,23 +248,31 @@ def _all_euclidean_pairs(axis: sp.csr_matrix, p_def: sp.csr_matrix, jobs: int = 
     vectors q.  The square root rules out a bilinear split, so d is evaluated
     explicitly, but only on the unordered pairs a < b that share some
     journal's distribution; d is symmetric, so each form is twice its
-    upper-triangle part.  Blocks of partner rows, of at most PAIR_BLOCK
-    pairs by a bound on each row's count, hold the pairs, distances and
-    products of only their rows.  They are spread over `jobs` threads and
-    their parts summed in block order, so the result does not depend on
-    `jobs`.
+    upper-triangle part.  A block of partner rows makes whole rows of three
+    products, B^T B, the Gram rows and D P^T, and holds at most PAIR_BLOCK
+    cells of them by a bound on each row.  At most PAIR_GROUPS groups of
+    consecutive blocks are spread over `jobs` threads and their parts summed
+    in group order, so the result does not depend on `jobs`.
     """
     prob, _ = _l1_normalize_rows(axis)
     sq = _row_sums(prob.multiply(prob))
+    n = len(sq)
     p_t = p_def.T.tocsr()
     pattern, pattern_t = _pattern(p_def), _pattern(p_t)
-    # row a pairs with at most n - 1 - a partners above it, and with at most
-    # s - 1 through each journal of support s whose distribution holds it
-    support = np.diff(p_def.indptr)
-    bound = np.minimum(np.arange(len(sq) - 1, -1, -1), pattern_t.dot(np.maximum(support - 1, 0)))
-    blocks = _row_blocks(bound, PAIR_BLOCK)
-    work = partial(_euclidean_block_forms, prob, prob.T.tocsr(), sq, pattern, pattern_t, p_t)
-    values = np.zeros(p_def.shape[0])
-    for journals, parts in run_shares(work, blocks, jobs):  # in block order, for any jobs
-        values[journals] += parts
+    # row a of B^T B meets at most s partners through each distribution of
+    # support s that holds a, its Gram row at most c through each cell of its
+    # vector in a column of c cells, and its row of D P^T at most t journals
+    # through each partner there held by t distributions
+    reach = (
+        pattern_t.dot(np.diff(pattern.indptr)),
+        _pattern(prob).dot(np.bincount(prob.indices, minlength=n)),
+        pattern_t.dot(pattern.dot(np.diff(p_t.indptr))),
+    )
+    blocks = row_blocks(sum(np.minimum(n, r) for r in reach), PAIR_BLOCK)
+    size = -(-len(blocks) // PAIR_GROUPS)
+    groups = [blocks[i : i + size] for i in range(0, len(blocks), size)]
+    work = partial(_euclidean_group_forms, prob, prob.T.tocsr(), sq, pattern, pattern_t, p_t)
+    values = np.zeros(n)
+    for form in run_shares(work, groups, jobs):  # in group order, for any jobs
+        values += form
     return 2.0 * values

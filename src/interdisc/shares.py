@@ -1,9 +1,10 @@
-"""Work split into interleaved shares, one per thread, results in item order.
+"""Work split into interleaved shares, one per thread, results in item order,
+and rows split into consecutive blocks under a budget.
 
-`betweenness` spreads its source batches and `diversity_all` its partner
-blocks this way.  Each share is a fixed set of items (every `workers`-th),
-so the result of every item, and the order in which the caller reduces
-them, do not depend on the thread count.
+`betweenness` spreads its source batches and `diversity_all` its groups of
+partner-row blocks this way.  Each share is a fixed set of items (every
+`workers`-th), so the result of every item, and the order in which the
+caller reduces them, do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
+
+import numpy as np
 
 
 def run_shares(
@@ -44,3 +47,17 @@ def run_shares(
             # this thread was interrupted, and the rest stop at their next item
             stop.set()
     return [shares[i % workers][i // workers] for i in range(len(items))]
+
+
+def row_blocks(counts: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Consecutive row ranges [start, stop) whose `counts` sum to at most
+    `budget`; a row over it is a range of its own."""
+    ends = np.cumsum(counts)
+    blocks = []
+    start = 0
+    while start < len(counts):
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + budget, side="right")))
+        blocks.append((start, stop))
+        start = stop
+    return blocks

@@ -419,6 +419,7 @@ def test_criterion_10_scale(tmp_path):
         elapsed = time.time() - start
         assert elapsed < 900.0, f"{axis.value} betweenness took {elapsed:.0f}s"
         betw_elapsed = max(betw_elapsed, elapsed)
+        assert np.all(scores >= 0)
         # on a graph of diameter 2 every non-adjacent pair adds exactly 1
         adj = graph.adjacency.toarray()
         degree = adj.sum(axis=1)

@@ -251,8 +251,8 @@ class TestDiversityAll:
 
 @pytest.mark.filterwarnings("ignore:.*undefined distances")
 class TestRelativeEuclideanBlocks:
-    """Relative-Euclidean forms are built in blocks of partner rows, which
-    `jobs` threads share, and summed in block order."""
+    """Relative-Euclidean forms are built in blocks of partner rows, in
+    groups that `jobs` threads share, and summed in block and group order."""
 
     @staticmethod
     def corpus() -> CitationMatrix:
@@ -263,7 +263,7 @@ class TestRelativeEuclideanBlocks:
 
     @pytest.mark.parametrize("direction", [Direction.CITED, Direction.CITING])
     def test_any_jobs_gives_the_same_bits(self, direction, monkeypatch):
-        monkeypatch.setattr(diversity, "PAIR_BLOCK", 40)  # dozens of blocks
+        monkeypatch.setattr(diversity, "PAIR_BLOCK", 40)  # nearly a block a row
         m = self.corpus()
         runs = [
             [r.d_value for r in diversity_all(m, direction, "relative_euclidean", jobs=jobs)]
@@ -276,7 +276,7 @@ class TestRelativeEuclideanBlocks:
     @pytest.mark.parametrize("exclude_self", [False, True])
     @pytest.mark.parametrize("direction", [Direction.CITED, Direction.CITING])
     def test_one_partner_row_a_block_matches_naive(self, direction, exclude_self, monkeypatch):
-        monkeypatch.setattr(diversity, "PAIR_BLOCK", 1)  # every row with pairs alone
+        monkeypatch.setattr(diversity, "PAIR_BLOCK", 1)  # every row alone
         m = self.corpus()
         axis = m.axis_matrix(direction)
         dist = distance_matrix(m, direction, "relative_euclidean")
@@ -303,3 +303,17 @@ class TestRelativeEuclideanBlocks:
         whole = traced_peak(diversity_all, m, Direction.CITED, "relative_euclidean")
         assert blocked < 16 * pairs
         assert blocked < whole / 4
+
+    def test_dense_last_rows_stay_in_the_block(self, monkeypatch):
+        # four journals cite all 2,000, so every partner pairs with every
+        # other: the last partner rows hold few upper-triangle pairs each,
+        # but the products a block makes still have whole rows of 2,000
+        n, rng = 2000, np.random.default_rng(5)
+        citing = np.concatenate([np.repeat(np.arange(n), 3), np.repeat(np.arange(4), n)])
+        cited = np.concatenate([rng.integers(0, n, size=3 * n), np.tile(np.arange(n), 4)])
+        m = CitationMatrix(n, cited, citing, rng.integers(1, 20, size=citing.size))
+        monkeypatch.setattr(diversity, "PAIR_BLOCK", 1)  # every row alone
+        alone = traced_peak(diversity_all, m, Direction.CITED, "relative_euclidean")
+        monkeypatch.setattr(diversity, "PAIR_BLOCK", 1 << 13)
+        blocked = traced_peak(diversity_all, m, Direction.CITED, "relative_euclidean")
+        assert blocked < 2 * alone
