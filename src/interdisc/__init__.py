@@ -17,7 +17,7 @@ from .corpus import (
     load_metadata,
     subset,
 )
-from .diversity import DiversityResult, diversity_all, rao_stirling
+from .diversity import DiversityResult, diversity_all
 from .netspace import (
     BinaryGraph,
     binarize,

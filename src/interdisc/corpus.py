@@ -29,7 +29,6 @@ from .errors import (
     EmptyCorpusError,
     MetadataConflictError,
     ParseError,
-    UnknownJournalError,
     file_errors,
 )
 
@@ -86,13 +85,8 @@ class JournalRegistry:
             self._by_canonical[key] = jid
         return jid
 
-    def id_of(self, name: str) -> int:
-        key = canonical_name(name)
-        if key not in self._by_canonical:
-            raise UnknownJournalError(f"unknown journal: {name!r}")
-        return self._by_canonical[key]
-
     def get(self, name: str) -> int | None:
+        """The id of `name` under its canonical form, or None if it is absent."""
         return self._by_canonical.get(canonical_name(name))
 
     def name_of(self, jid: int) -> str:

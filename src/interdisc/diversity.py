@@ -4,11 +4,13 @@ For a journal's citation distribution p over partner journals and a pairwise
 distance d between those partners, diversity is the full double sum of
 p_i * p_j * d(i, j) over ordered pairs i != j.  Pairs whose distance is
 undefined (a partner with an empty vector on the distance axis) contribute
-nothing and are counted separately.  `diversity_all` evaluates every journal
-at once without a dense n x n matrix: (1 - cosine) from the journals'
-distributions times the unit vectors, relative-Euclidean from one distance
-per unordered pair of partners that share a distribution, built and summed
-in blocks of partner rows, in groups that `jobs` threads share.
+nothing and are counted separately.  `diversity_all` is the one
+implementation of this sum; it evaluates every journal at once without a
+dense n x n matrix: (1 - cosine) from the journals' distributions times the
+unit vectors, relative-Euclidean from one distance per unordered pair of
+partners that share a distribution, built and summed in blocks of partner
+rows, in groups that `jobs` threads share.  `netspace.distance_matrix` gives
+the same distances as a dense matrix, for checking and export.
 """
 
 from __future__ import annotations
@@ -22,8 +24,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import CitationMatrix, Direction
-from .errors import ContractError, EmptyCorpusError, UndefinedIndicatorError
-from .netspace import _l1_normalize_rows, _l2_normalize_rows, _relative_euclidean
+from .errors import EmptyCorpusError, UndefinedIndicatorError
+from .netspace import (
+    _drop_stored_diagonal,
+    _l1_normalize_rows,
+    _l2_normalize_rows,
+    _relative_euclidean,
+)
 from .shares import row_blocks, run_shares
 
 # Journals per block of the (1 - cosine) forms; bounds the size of the
@@ -40,47 +47,10 @@ PAIR_GROUPS = 32
 @dataclass
 class DiversityResult:
     journal_id: int
-    direction: Direction
-    metric: str
     d_value: float
     degenerate: bool  # no off-diagonal support: diversity is 0 by convention
     missing: bool = False  # vector empty in this direction: no value at all
     undefined_pairs: int = 0
-
-
-def rao_stirling(
-    probs: np.ndarray, distances: np.ndarray, triangle_sum: bool = False
-) -> float:
-    """Diversity of a probability vector against an aligned distance block.
-
-    `distances` must be square, symmetric, zero on the diagonal, and aligned
-    with `probs`; NaN cells mark undefined pairs, which contribute zero and
-    trigger a coverage warning.  With `triangle_sum` only the lower triangle
-    is summed, halving the value.
-    """
-    p = np.asarray(probs, dtype=np.float64)
-    d = np.asarray(distances, dtype=np.float64)
-    if p.ndim != 1 or d.shape != (p.size, p.size):
-        raise ContractError("distance block must be square and aligned with p")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ContractError(f"probabilities sum to {p.sum()!r}, not 1")
-    defined = ~np.isnan(d)
-    if not np.array_equal(defined, defined.T) or np.any(
-        np.abs(np.where(defined & defined.T, d - d.T, 0.0)) > 1e-9
-    ):
-        raise ContractError("distance block is not symmetric")
-    if np.any(np.diag(d)[~np.isnan(np.diag(d))] != 0.0):
-        raise ContractError("distance diagonal must be zero")
-    undefined = int(np.count_nonzero(~defined) - np.count_nonzero(np.isnan(np.diag(d))))
-    if undefined:
-        warnings.warn(
-            f"{undefined} journal pairs have undefined distances and were skipped",
-            stacklevel=2,
-        )
-    d = np.nan_to_num(d, nan=0.0, copy=True)
-    np.fill_diagonal(d, 0.0)
-    value = float(p @ d @ p)
-    return value / 2.0 if triangle_sum else value
 
 
 def diversity_all(
@@ -122,8 +92,6 @@ def diversity_all(
     results = [
         DiversityResult(
             journal_id=jid,
-            direction=direction,
-            metric=metric,
             d_value=float(values[jid]),
             degenerate=bool(degenerate[jid]),
             missing=bool(missing[jid]),
@@ -141,14 +109,6 @@ def diversity_all(
     return results
 
 
-def _drop_diagonal(m: sp.csr_matrix) -> sp.csr_matrix:
-    coo = m.tocoo()
-    keep = coo.row != coo.col
-    return sp.csr_matrix(
-        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=m.shape
-    )
-
-
 def _row_sums(m: sp.spmatrix) -> np.ndarray:
     return np.asarray(m.sum(axis=1)).ravel()
 
@@ -162,7 +122,8 @@ def _defined_probabilities(
     distance is undefined: s(s - 1) - s_def(s_def - 1) for a support of s
     partners, s_def of them defined.
     """
-    p_source = _drop_diagonal(axis) if exclude_self else axis
+    # a copy: either axis shares the citation matrix's arrays
+    p_source = _drop_stored_diagonal(axis.copy()) if exclude_self else axis
     prob, _ = _l1_normalize_rows(p_source)
     support = np.diff(prob.indptr)
     p_def = prob.dot(sp.diags(defined.astype(np.float64))).tocsr()

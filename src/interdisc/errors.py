@@ -73,10 +73,6 @@ class UndefinedCorrelationError(NumericalError):
     """Correlation is undefined (constant column or too few observations)."""
 
 
-class ContractError(NumericalError):
-    """An input violated a numerical precondition (e.g. unnormalized p)."""
-
-
 class RankError(NumericalError):
     """Requested factor count exceeds the rank of the correlation matrix."""
 

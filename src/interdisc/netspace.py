@@ -63,6 +63,16 @@ def _relative_euclidean(
     return np.sqrt(d2, out=d2)
 
 
+def _drop_stored_diagonal(m: sp.csr_matrix) -> sp.csr_matrix:
+    """Removes the stored diagonal cells of the CSR matrix `m` in place, with
+    any stored zeros, and returns it.  `setdiag` would insert the absent
+    diagonal cells first, so the stored ones are masked instead."""
+    rows = np.repeat(np.arange(m.shape[0], dtype=m.indices.dtype), np.diff(m.indptr))
+    m.data[m.indices == rows] = 0
+    m.eliminate_zeros()
+    return m
+
+
 def _l2_normalize_rows(m: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
     """Rows scaled to unit L2 norm; zero rows stay zero.  Returns (rows, norms)."""
     m = m.tocsr().astype(np.float64)
@@ -167,21 +177,15 @@ def binarize(values: np.ndarray | sp.spmatrix, threshold: float = 0.0) -> Binary
     equivalence between cosine- and co-occurrence-based graphs and is off
     by default.
     """
-    adj = sp.csr_matrix(values > threshold)
-    # mask the stored diagonal; `setdiag` would insert the absent entries
-    rows = np.repeat(np.arange(adj.shape[0], dtype=adj.indices.dtype), np.diff(adj.indptr))
-    adj.data[adj.indices == rows] = False
-    adj.eliminate_zeros()
+    adj = _drop_stored_diagonal(sp.csr_matrix(values > threshold))
     return BinaryGraph(n=adj.shape[0], directed=False, adjacency=adj)
 
 
 def binarize_directed(matrix: CitationMatrix) -> BinaryGraph:
     """Directed graph with an arc citing -> cited per nonzero cell; no loops."""
-    cells = matrix.tocsr().astype(bool)
-    adj = cells.T.tocsr()  # cell (cited i, citing j) becomes arc j -> i
-    adj.setdiag(False)
-    adj.eliminate_zeros()
-    return BinaryGraph(n=matrix.n, directed=True, adjacency=adj.astype(bool))
+    # cell (cited i, citing j) becomes arc j -> i
+    adj = _drop_stored_diagonal(matrix.tocsr().astype(bool).T.tocsr())
+    return BinaryGraph(n=matrix.n, directed=True, adjacency=adj)
 
 
 def distance_matrix(

@@ -7,7 +7,7 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from interdisc.corpus import JournalRegistry, load_edge_list
+from interdisc.corpus import CitationMatrix, JournalRegistry, load_edge_list
 from interdisc.pipeline import RunConfig, compute_indicator_table
 
 # Property tests draw the same examples on every run and keep no example
@@ -68,6 +68,18 @@ def random_sparse_counts(rng: np.random.Generator, n: int, density: float = 0.25
     counts = rng.integers(1, 20, size=(n, n))
     rows, cols = np.nonzero(mask)
     return rows, cols, counts[rows, cols]
+
+
+def cited_by_partners(counts, citers) -> CitationMatrix:
+    """Journal 0 cited by journals 1..s with `counts`, and each partner i
+    cited once by every journal in `citers[i - 1]`, an empty list leaving it
+    uncited; with citers s + 1..2s, one each, every two partners are
+    orthogonal on the cited axis."""
+    s = len(counts)
+    cited = [0] * s + [i for i, group in enumerate(citers, 1) for _ in group]
+    citing = list(range(1, s + 1)) + [j for group in citers for j in group]
+    values = list(counts) + [1] * (len(citing) - s)
+    return CitationMatrix(max(citing) + 1, cited, citing, values)
 
 
 def indicator_table(matrix, registry=None, **options):

@@ -13,11 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_sparse_counts
+from conftest import cited_by_partners, random_sparse_counts
 from interdisc.centrality import betweenness, normalize_betweenness
 from interdisc.cli import main as cli_main
 from interdisc.corpus import CitationMatrix, Direction, JournalRegistry, load_edge_list
-from interdisc.diversity import diversity_all, rao_stirling
+from interdisc.diversity import diversity_all
 from interdisc.netspace import (
     BinaryGraph,
     binarize,
@@ -42,6 +42,7 @@ from interdisc.vector_indicators import (
 )
 from oracles import (
     brute_betweenness,
+    entropy_direct,
     gini_pairwise,
     naive_rao,
     naive_spearman,
@@ -143,25 +144,33 @@ def test_criterion_04_entropy_bounds_and_anchor():
                "H <= log2(n) on 1000 vectors; normalized uniform exactly 1.0")
 
 
+@pytest.mark.filterwarnings("ignore:.*undefined distances")
 def test_criterion_05_rao_stirling():
     rng = np.random.default_rng(1005)
-    # naive double-loop equivalence
+    # naive double-loop equivalence on every journal of random corpora
     for _ in range(300):
-        s = int(rng.integers(1, 21))
-        p = rng.random(s)
-        p /= p.sum()
-        d = rng.random((s, s))
-        d = (d + d.T) / 2.0
-        np.fill_diagonal(d, 0.0)
-        assert abs(rao_stirling(p, d) - naive_rao(p, d)) <= 1e-12
-    # Gini-Simpson reduction with unit off-diagonal distances
+        n = int(rng.integers(1, 21))
+        rows, cols, counts = random_sparse_counts(rng, n, density=0.3)
+        if len(rows) == 0:
+            continue
+        m = CitationMatrix(n, rows, cols, counts)
+        axis = m.axis_matrix(Direction.CITED)
+        for metric in ("one_minus_cosine", "relative_euclidean"):
+            dist = distance_matrix(m, Direction.CITED, metric)
+            for r in diversity_all(m, Direction.CITED, metric):
+                lo, hi = axis.indptr[r.journal_id], axis.indptr[r.journal_id + 1]
+                ids, x = axis.indices[lo:hi], axis.data[lo:hi].astype(float)
+                want = naive_rao(x / x.sum(), dist[np.ix_(ids, ids)]) if ids.size else 0.0
+                assert abs(r.d_value - want) <= 1e-12
+    # Gini-Simpson reduction: journal 0's partners 1..s are cited by journals
+    # s+1..2s, one each, so every two are at 1 - cosine = 1
     for _ in range(300):
         s = int(rng.integers(2, 21))
-        p = rng.random(s)
-        p /= p.sum()
-        d = np.ones((s, s))
-        np.fill_diagonal(d, 0.0)
-        assert abs(rao_stirling(p, d) - (1.0 - (p**2).sum())) <= 1e-12
+        x = rng.integers(1, 1000, size=s)
+        p = x / x.sum()
+        m = cited_by_partners(x, [[s + i] for i in range(1, s + 1)])
+        value = diversity_all(m, Direction.CITED, "one_minus_cosine")[0].d_value
+        assert abs(value - (1.0 - (p**2).sum())) <= 1e-12
 
     # scale invariance of the full pipeline value under c = 1000 (counts
     # stay integral) ...
@@ -193,7 +202,7 @@ def test_criterion_05_rao_stirling():
             x = axis.data[lo:hi].astype(float) * c
             p = x / x.sum()
             ids = axis.indices[lo:hi]
-            values[jid] = rao_stirling(p, dist[np.ix_(ids, ids)])
+            values[jid] = naive_rao(p, dist[np.ix_(ids, ids)])
         per_scale[c] = values
     reference = per_scale[1.0]
     ref_rank = sorted(reference, key=lambda j: reference[j])
@@ -290,8 +299,8 @@ def test_criterion_08_planted_structure_recovery(tmp_path):
     registry, matrix = load_edge_list(edges)
     table = compute_indicator_table(matrix, registry, RunConfig())
 
-    bridge_ids = [registry.id_of(corpus.names[b]) for b in corpus.bridge_ids]
-    generalist = registry.id_of(corpus.names[corpus.generalist_ids[0]])
+    bridge_ids = [registry.get(corpus.names[b]) for b in corpus.bridge_ids]
+    generalist = registry.get(corpus.names[corpus.generalist_ids[0]])
 
     betw_ranks = rank_column(table.column("betweenness_cosine_cited"), "descending")
     assert all(betw_ranks[b] <= 5 for b in bridge_ids), (
@@ -442,10 +451,29 @@ def test_criterion_10_scale(tmp_path):
             want = _explicit_relative_euclidean(vectors, journal)
             assert values[journal] == pytest.approx(want, abs=1e-12), journal
 
+        # the vector columns at the least and the median support; the
+        # generalists' thousands of cells are too many for the pairwise Gini
+        filled = np.flatnonzero(support > 0)
+        sampled = filled[np.argsort(support[filled], kind="stable")[[0, len(filled) // 2]]]
+        for journal in sampled:
+            x = vectors.data[vectors.indptr[journal] : vectors.indptr[journal + 1]].astype(float)
+            s = x.size
+            gini, entropy = gini_pairwise(x), entropy_direct(x)
+            want = {
+                "gini": gini,
+                "gini_normalized": gini * s / (s - 1) if s > 1 else 0.0,
+                "entropy": entropy,
+                "entropy_normalized": entropy / np.log2(s) if s > 1 else 0.0,
+            }
+            for name, value in want.items():
+                got = table.column(f"{name}_{axis.value}")[journal]
+                assert got == pytest.approx(value, abs=1e-12), (name, journal)
+
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6
     assert peak_gb < 16.0, f"peak RSS {peak_gb:.1f} GB"
     _report(10, f"n={n}, {matrix.nnz} cells: full 12-indicator pipeline "
                 f"{pipeline_elapsed:.0f}s, process peak {pipeline_peak_gb:.2f} GB "
                 f"after it; slowest co-occurrence betweenness {betw_elapsed:.0f}s on "
-                f"{jobs} workers (<900s), diameter 2, sums and sampled values exact; "
+                f"{jobs} workers (<900s), diameter 2, sums and sampled values exact, "
+                "vector columns at the least and median support match the oracles; "
                 f"peak {peak_gb:.2f} GB (<16)")

@@ -449,7 +449,7 @@ class TestCorrelateAndFactor:
         table = compute_indicator_table(
             corpus.matrix, corpus.registry, config, DEFAULT_FACTOR_COLUMNS
         )
-        x = corpus.registry.id_of("X")
+        x = corpus.registry.get("X")
         assert table.flags["degenerate_citing"][x] and not table.flags["degenerate_cited"][x]
         complete = table.listwise_mask(DEFAULT_FACTOR_COLUMNS)
         out = tmp_path / "factor"

@@ -34,7 +34,7 @@ class TestLoadEdgeList:
     def test_duplicate_rows_are_summed(self, tmp_path):
         path = write(tmp_path, "e.csv", "citing,cited,count\nB,A,3\nB,A,2\n")
         registry, matrix = load_edge_list(path)
-        a, b = registry.id_of("A"), registry.id_of("B")
+        a, b = registry.get("A"), registry.get("B")
         assert matrix.tocsr()[a, b] == 5
         assert matrix.nnz == 1
 
@@ -42,7 +42,7 @@ class TestLoadEdgeList:
         # D cites A twice with count 1: the summed cell of 2 survives min_count=2
         path = write(tmp_path, "e.csv", "citing,cited,count\nB,A,1\nD,A,1\nC,A,4\nD,A,1\n")
         registry, matrix = load_edge_list(path, min_count=2)
-        a, c, d = registry.id_of("A"), registry.id_of("C"), registry.id_of("D")
+        a, c, d = registry.get("A"), registry.get("C"), registry.get("D")
         assert len(registry) == 4
         assert matrix.nnz == 2
         assert matrix.tocsr()[a, c] == 4
@@ -76,8 +76,8 @@ class TestLoadEdgeList:
         for cited in "ABC":
             for citing in "ABC":
                 assert (
-                    m1.tocsr()[r1.id_of(cited), r1.id_of(citing)]
-                    == m2.tocsr()[r2.id_of(cited), r2.id_of(citing)]
+                    m1.tocsr()[r1.get(cited), r1.get(citing)]
+                    == m2.tocsr()[r2.get(cited), r2.get(citing)]
                 )
 
     def test_canonicalization_merges_case_and_space(self, tmp_path):
@@ -123,7 +123,7 @@ class TestLoadEdgeList:
         path.write_bytes(b"\xef\xbb\xbfciting,cited,count\nA,B,3\n")
         registry, matrix = load_edge_list(path)
         assert registry.name_of(0) == "A"
-        assert matrix.tocsr()[registry.id_of("B"), registry.id_of("A")] == 3
+        assert matrix.tocsr()[registry.get("B"), registry.get("A")] == 3
 
     def test_count_beyond_int64_is_parse_error(self, tmp_path):
         one_row = write(tmp_path, "a.csv", "citing,cited,count\nA,B,99999999999999999999\n")
@@ -267,7 +267,7 @@ class TestMatrixMarket:
         names = write(tmp_path, "names.txt", "Alpha\nBeta\n")
         registry, matrix = load_matrix_market(mm, names)
         assert registry.name_of(0) == "Alpha"
-        assert matrix.tocsr()[registry.id_of("Alpha"), registry.id_of("Beta")] == 3
+        assert matrix.tocsr()[registry.get("Alpha"), registry.get("Beta")] == 3
 
 
 class TestFileErrors:
@@ -298,7 +298,7 @@ class TestMetadata:
         meta = write(tmp_path, "m.csv", "name,category,total_cites,impact_factor,immediacy\nA,LIS,100,1.5,0.2\n")
         unmatched = load_metadata(meta, registry)
         assert unmatched == 0
-        entry = registry.entries[registry.id_of("A")]
+        entry = registry.entries[registry.get("A")]
         assert entry.category == "LIS"
         assert entry.total_cites == 100
         assert entry.impact_factor == 1.5
@@ -337,7 +337,7 @@ class TestMetadata:
         fields = len(header.split(","))
         meta = write(tmp_path, "m.csv", f"{header}\n" + ",".join(["A", "LIS", "100"][:fields]) + "\n")
         assert load_metadata(meta, registry) == 0
-        entry = registry.entries[registry.id_of("A")]
+        entry = registry.entries[registry.get("A")]
         assert entry.category == ("LIS" if fields > 1 else None)
         assert entry.total_cites == (100 if fields > 2 else None)
 
@@ -382,7 +382,7 @@ class TestMetadata:
         registry, _ = corpus3
         meta = write(tmp_path, "m.csv", f"name,category,total_cites\nA,LIS,{2**63 - 1}\n")
         load_metadata(meta, registry)
-        assert registry.entries[registry.id_of("A")].total_cites == 2**63 - 1
+        assert registry.entries[registry.get("A")].total_cites == 2**63 - 1
 
     def test_category_subset_of_61(self, tmp_path):
         n = 100
@@ -416,17 +416,17 @@ class TestVector:
 
     def test_hand_read_slices(self, corpus4):
         registry, matrix = corpus4
-        w, x = registry.id_of("W"), registry.id_of("X")
+        w, x = registry.get("W"), registry.get("X")
         cited = matrix.axis_matrix(Direction.CITED)[x]
         assert dict(zip(cited.indices, cited.data)) == {
-            registry.id_of("W"): 2,
-            registry.id_of("Y"): 5,
+            registry.get("W"): 2,
+            registry.get("Y"): 5,
         }
         # column W holds cells (cited=X, citing=W)=2 and the diagonal (W,W)=7
         citing = matrix.axis_matrix(Direction.CITING)[w]
         assert dict(zip(citing.indices, citing.data)) == {
-            registry.id_of("X"): 2,
-            registry.id_of("W"): 7,
+            registry.get("X"): 2,
+            registry.get("W"): 7,
         }
 
     def test_cited_equals_transposed_citing(self, corpus4):
@@ -454,7 +454,7 @@ class TestSubset:
 
     def test_local_restriction(self, corpus4):
         registry, matrix = corpus4
-        w, x = registry.id_of("W"), registry.id_of("X")
+        w, x = registry.get("W"), registry.get("X")
         _, sub = subset(matrix, registry, [w, x])
         dense = sub.tocsr().toarray()
         assert dense.shape == (2, 2)

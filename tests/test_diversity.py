@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import random_sparse_counts
+from conftest import cited_by_partners, random_sparse_counts
 from interdisc import diversity
 from interdisc.corpus import CitationMatrix, Direction, load_edge_list
-from interdisc.diversity import diversity_all, rao_stirling
-from interdisc.errors import ContractError
+from interdisc.diversity import diversity_all
 from interdisc.netspace import binarize, cooccurrence_support, distance_matrix
 from oracles import naive_rao
 from test_netspace import cites_each, traced_peak
@@ -17,90 +16,100 @@ def matrix_from_dense(dense) -> CitationMatrix:
     return CitationMatrix(dense.shape[0], rows, cols, dense[rows, cols].astype(np.int64))
 
 
-def zero_diag(d):
-    d = np.asarray(d, dtype=np.float64).copy()
-    np.fill_diagonal(d, 0.0)
-    return d
+def naive_values(m: CitationMatrix, direction: Direction, metric: str) -> list[float]:
+    """`naive_rao` of every journal's distribution over its partners' block
+    of `distance_matrix`; 0 for a journal with no vector."""
+    axis = m.axis_matrix(direction)
+    dist = distance_matrix(m, direction, metric)
+    values = []
+    for jid in range(m.n):
+        lo, hi = axis.indptr[jid], axis.indptr[jid + 1]
+        ids, w = axis.indices[lo:hi], axis.data[lo:hi].astype(np.float64)
+        values.append(naive_rao(w / w.sum(), dist[np.ix_(ids, ids)]) if ids.size else 0.0)
+    return values
+
+
+def journal_0(m: CitationMatrix, metric: str = "one_minus_cosine", **options) -> float:
+    return diversity_all(m, Direction.CITED, metric, **options)[0].d_value
+
+
+def orthogonal(counts) -> CitationMatrix:
+    """Journal 0 cited by partners 1..s with `counts`, every two of them
+    orthogonal on the cited axis: at 1 - cosine = 1."""
+    s = len(counts)
+    return cited_by_partners(counts, [[s + i] for i in range(1, s + 1)])
+
+
+METRICS = ("one_minus_cosine", "relative_euclidean")
 
 
 class TestRaoStirling:
-    def test_concentrated_is_zero(self):
-        assert rao_stirling([1.0], np.zeros((1, 1))) == 0.0
+    """The Rao-Stirling sum as `diversity_all` gives it, on corpora whose
+    partner distances are known."""
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_concentrated_is_zero(self, metric):
+        assert journal_0(cited_by_partners([7], [[2]]), metric) == 0.0
 
     def test_two_journals_distance_one(self):
-        d = zero_diag([[0, 1], [1, 0]])
-        assert rao_stirling([0.5, 0.5], d) == pytest.approx(0.5, abs=1e-15)
+        assert journal_0(orthogonal([1, 1])) == pytest.approx(0.5, abs=1e-15)
 
-    def test_identical_patterns_zero_distance(self):
-        d = np.zeros((2, 2))
-        assert rao_stirling([0.5, 0.5], d) == 0.0
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_identical_patterns_zero_distance(self, metric):
+        assert journal_0(cited_by_partners([1, 1], [[3], [3]]), metric) == 0.0
 
+    @pytest.mark.filterwarnings("ignore:.*undefined distances")
     def test_naive_equivalence_random(self):
         rng = np.random.default_rng(40)
         for _ in range(200):
-            s = int(rng.integers(1, 21))
-            p = rng.random(s)
-            p /= p.sum()
-            d = rng.random((s, s))
-            d = zero_diag((d + d.T) / 2.0)
-            assert rao_stirling(p, d) == pytest.approx(naive_rao(p, d), abs=1e-12)
+            n = int(rng.integers(1, 21))
+            rows, cols, counts = random_sparse_counts(rng, n, density=0.3)
+            if len(rows) == 0:
+                continue
+            m = CitationMatrix(n, rows, cols, counts)
+            for metric in METRICS:
+                got = [r.d_value for r in diversity_all(m, Direction.CITED, metric)]
+                want = naive_values(m, Direction.CITED, metric)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_gini_simpson_reduction(self):
         rng = np.random.default_rng(41)
         for _ in range(200):
             s = int(rng.integers(2, 21))
-            p = rng.random(s)
-            p /= p.sum()
-            d = zero_diag(np.ones((s, s)))
+            counts = rng.integers(1, 1000, size=s)
+            p = counts / counts.sum()
             expected = 1.0 - (p**2).sum()
-            assert rao_stirling(p, d) == pytest.approx(expected, abs=1e-12)
+            assert journal_0(orthogonal(counts)) == pytest.approx(expected, abs=1e-12)
 
-    def test_triangle_sum_halves(self):
+    @pytest.mark.filterwarnings("ignore:.*undefined distances")
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_triangle_sum_halves(self, metric):
         rng = np.random.default_rng(42)
-        p = rng.random(6)
-        p /= p.sum()
-        d = rng.random((6, 6))
-        d = zero_diag((d + d.T) / 2.0)
-        assert rao_stirling(p, d, triangle_sum=True) == pytest.approx(
-            rao_stirling(p, d) / 2.0, abs=1e-15
-        )
-
-    def test_unnormalized_p_rejected(self):
-        d = zero_diag(np.ones((2, 2)))
-        with pytest.raises(ContractError):
-            rao_stirling([0.5, 0.6], d)
-
-    def test_asymmetric_distance_rejected(self):
-        d = np.array([[0.0, 0.3], [0.7, 0.0]])
-        with pytest.raises(ContractError):
-            rao_stirling([0.5, 0.5], d)
-
-    def test_nonzero_diagonal_rejected(self):
-        d = np.array([[0.5, 1.0], [1.0, 0.0]])
-        with pytest.raises(ContractError):
-            rao_stirling([0.5, 0.5], d)
+        m = CitationMatrix(6, *random_sparse_counts(rng, 6, density=0.5))
+        for direction in (Direction.CITED, Direction.CITING):
+            full = [r.d_value for r in diversity_all(m, direction, metric)]
+            half = [r.d_value for r in diversity_all(m, direction, metric, triangle_sum=True)]
+            np.testing.assert_allclose(half, np.divide(full, 2.0), rtol=0, atol=1e-15)
+            assert any(full)
 
     def test_undefined_pairs_contribute_zero_with_warning(self):
-        d = np.array(
-            [[0.0, np.nan, 0.4], [np.nan, 0.0, np.nan], [0.4, np.nan, 0.0]]
-        )
-        p = np.array([0.25, 0.5, 0.25])
+        # partner 2 is never cited, so its distances are undefined; partners
+        # 1 and 3 are orthogonal
+        m = cited_by_partners([1, 2, 1], [[4], [], [5]])
         with pytest.warns(UserWarning, match="undefined"):
-            value = rao_stirling(p, d)
-        assert value == pytest.approx(2 * 0.25 * 0.25 * 0.4, abs=1e-15)
+            result = diversity_all(m, Direction.CITED, "one_minus_cosine")[0]
+        assert result.d_value == pytest.approx(2 * 0.25 * 0.25 * 1.0, abs=1e-15)
+        assert result.undefined_pairs == 4
 
     def test_monotone_distance_sensitivity(self):
+        # partners 2 and 5 share their one citer, then 5 moves to a citer of
+        # its own: d(2, 5) goes 0 -> 1 and every other distance stays 1
         rng = np.random.default_rng(43)
         s = 8
-        p = rng.random(s)
-        p /= p.sum()
-        d = rng.random((s, s))
-        d = zero_diag((d + d.T) / 2.0)
-        base = rao_stirling(p, d)
-        d2 = d.copy()
-        d2[2, 5] += 0.1
-        d2[5, 2] += 0.1
-        assert rao_stirling(p, d2) > base
+        counts = rng.integers(1, 1000, size=s)
+        citers = [[s + i] for i in range(1, s + 1)]
+        base = journal_0(cited_by_partners(counts, citers[:4] + [citers[1]] + citers[5:]))
+        assert journal_0(cited_by_partners(counts, citers)) > base
 
 
 class TestDiversityAll:
@@ -190,8 +199,10 @@ class TestDiversityAll:
         registry, m = load_edge_list(edges)
         dist = distance_matrix(m, Direction.CITED, "relative_euclidean")
         axis = m.axis_matrix(Direction.CITED)
-        c = registry.id_of("C")
-        for r in diversity_all(m, Direction.CITED, "relative_euclidean"):
+        c = registry.get("C")
+        with pytest.warns(UserWarning, match="undefined"):  # D and E are never cited
+            results = diversity_all(m, Direction.CITED, "relative_euclidean")
+        for r in results:
             lo, hi = axis.indptr[r.journal_id], axis.indptr[r.journal_id + 1]
             ids = axis.indices[lo:hi]
             p = axis.data[lo:hi] / axis.data[lo:hi].sum()
@@ -247,6 +258,14 @@ class TestDiversityAll:
         )
         # dropping dominant self-citation mass boosts the off-diagonal products
         assert drop[0].d_value > keep[0].d_value
+
+    @pytest.mark.parametrize("direction", [Direction.CITED, Direction.CITING])
+    def test_exclude_self_citations_leaves_the_matrix_as_it_was(self, direction):
+        m = CitationMatrix(3, [0, 0, 0, 1, 2, 1], [0, 1, 2, 0, 1, 2], [10, 1, 1, 2, 2, 1])
+        before = m.axis_matrix(direction).toarray()
+        diversity_all(m, direction, "relative_euclidean", exclude_self_citations=True)
+        assert np.array_equal(m.axis_matrix(direction).toarray(), before)
+        assert np.array_equal(m.tocsr().toarray().diagonal(), [10, 0, 0])
 
 
 @pytest.mark.filterwarnings("ignore:.*undefined distances")
