@@ -107,7 +107,8 @@ class CitationMatrix:
     Built from coordinate arrays: `counts[k]` citations in cell
     (`rows[k]`, `cols[k]`).  Repeated cells are summed.  Zero cells are never
     stored; all stored counts are positive integers within int64.  Immutable
-    after construction.
+    after construction: the arrays behind `tocsr` and both axes are read-only,
+    so an in-place edit raises instead of changing what later callers read.
     """
 
     def __init__(self, n: int, rows, cols, counts):
@@ -130,6 +131,9 @@ class CitationMatrix:
             if np.any(np.abs(approx.data - self._csr.data) >= 2.0**63):
                 raise ParseError("summed citation count exceeds the int64 range")
         self._csc = self._csr.tocsc()
+        for stored in (self._csr, self._csc):
+            for array in (stored.data, stored.indices, stored.indptr):
+                array.flags.writeable = False
         self.n = n
 
     @property

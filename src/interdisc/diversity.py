@@ -33,11 +33,8 @@ from .netspace import (
 )
 from .shares import row_blocks, run_shares
 
-# Journals per block of the (1 - cosine) forms; bounds the size of the
-# intermediate sparse products.
-BATCH_SIZE = 512
-# Partner pairs per block of the relative-Euclidean forms, by an upper bound
-# on the whole rows of the block's products; a row over it is a block alone.
+# Cells per block of the diversity products, by an upper bound on each of
+# their rows; a row over it is a block alone.
 PAIR_BLOCK = 1 << 20
 # Most groups of consecutive blocks that threads share, each summed into one
 # vector of all journals; their count does not depend on jobs.
@@ -122,7 +119,7 @@ def _defined_probabilities(
     distance is undefined: s(s - 1) - s_def(s_def - 1) for a support of s
     partners, s_def of them defined.
     """
-    # a copy: either axis shares the citation matrix's arrays
+    # a copy: either axis is the citation matrix's own read-only storage
     p_source = _drop_stored_diagonal(axis.copy()) if exclude_self else axis
     prob, _ = _l1_normalize_rows(p_source)
     support = np.diff(prob.indptr)
@@ -139,7 +136,9 @@ def _all_cosine_bilinear(axis: sp.csr_matrix, p_def: sp.csr_matrix) -> np.ndarra
     With U the L2-normalized vectors, the cosine similarity is G = U U^T and
     p^T G p = |U^T p|^2.  Every defined partner has g_aa = 1, so the sum over
     i != j of p_i p_j (1 - g_ij) is (sum p)^2 - |U^T p|^2, and only P U is
-    formed, in blocks of BATCH_SIZE journals.
+    formed, in blocks of journals that hold at most PAIR_BLOCK of its cells
+    by a bound on each row.  A journal's value reads only its own row, so
+    the blocks change no bit.
 
     The difference carries a rounding error of a few eps * (sum p)^2 (up to
     7 eps on rank-one count matrices of up to 1,000 journals, where every
@@ -149,9 +148,11 @@ def _all_cosine_bilinear(axis: sp.csr_matrix, p_def: sp.csr_matrix) -> np.ndarra
     unit, _ = _l2_normalize_rows(axis)
     values = _row_sums(p_def) ** 2
     noise = 8 * np.finfo(np.float64).eps * values
-    for start in range(0, p_def.shape[0], BATCH_SIZE):
-        pu = p_def[start : start + BATCH_SIZE].dot(unit)
-        values[start : start + BATCH_SIZE] -= _row_sums(pu.multiply(pu))
+    # row j of P U holds at most the cells of the unit vectors of j's partners
+    cells = _pattern(p_def).dot(np.diff(unit.indptr))
+    for start, stop in row_blocks(np.minimum(unit.shape[1], cells), PAIR_BLOCK):
+        pu = p_def[start:stop].dot(unit)
+        values[start:stop] -= _row_sums(pu.multiply(pu))
     values[values <= noise] = 0.0
     return values
 

@@ -183,8 +183,8 @@ def binarize(values: np.ndarray | sp.spmatrix, threshold: float = 0.0) -> Binary
 
 def binarize_directed(matrix: CitationMatrix) -> BinaryGraph:
     """Directed graph with an arc citing -> cited per nonzero cell; no loops."""
-    # cell (cited i, citing j) becomes arc j -> i
-    adj = _drop_stored_diagonal(matrix.tocsr().astype(bool).T.tocsr())
+    # row j of the citing axis holds the journals i that j cites: arcs j -> i
+    adj = _drop_stored_diagonal(matrix.axis_matrix(Direction.CITING).astype(bool))
     return BinaryGraph(n=matrix.n, directed=True, adjacency=adj)
 
 

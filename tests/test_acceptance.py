@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import cited_by_partners, random_sparse_counts
+from interdisc import centrality
 from interdisc.centrality import betweenness, normalize_betweenness
 from interdisc.cli import main as cli_main
 from interdisc.corpus import CitationMatrix, Direction, JournalRegistry, load_edge_list
@@ -22,7 +23,6 @@ from interdisc.netspace import (
     BinaryGraph,
     binarize,
     cooccurrence,
-    cooccurrence_support,
     cosine_matrix,
     distance_matrix,
 )
@@ -391,7 +391,7 @@ def _explicit_relative_euclidean(axis: sp.csr_matrix, journal: int) -> float:
 
 
 @pytest.mark.slow
-def test_criterion_10_scale(tmp_path):
+def test_criterion_10_scale(monkeypatch):
     jobs = min(8, os.cpu_count() or 1)
     spec = uniform_spec(
         [265] * 30,
@@ -411,6 +411,15 @@ def test_criterion_10_scale(tmp_path):
     registry = JournalRegistry()
     for name in corpus.names:
         registry.add(name)
+    runs = []  # (graph, seconds) of each betweenness run in the pipeline
+
+    def timed_betweenness(graph, **options):
+        start = time.time()
+        scores = betweenness(graph, **options)
+        runs.append((graph, time.time() - start))
+        return scores
+
+    monkeypatch.setattr(centrality, "betweenness", timed_betweenness)
     start = time.time()
     config = RunConfig(jobs=jobs)
     table = compute_indicator_table(matrix, registry, config)
@@ -419,28 +428,23 @@ def test_criterion_10_scale(tmp_path):
     per_direction = [c for c in table.columns if c.endswith("_cited")]
     assert len([c for c in per_direction if c != "support_cited"]) == 12
     assert table.journal_ids == list(range(n))
+    # the raw graph, then the cited and the citing co-occurrence graphs
+    assert [graph.directed for graph, _ in runs] == [True, False, False]
+    times = [elapsed for _, elapsed in runs]
+    assert max(times) < 900.0, f"betweenness runs took {times}"
 
-    betw_elapsed = 0.0
-    for axis in (Direction.CITED, Direction.CITING):
-        graph = binarize(cooccurrence_support(matrix, axis))
-        start = time.time()
-        scores = betweenness(graph, jobs=jobs, batch_size=128)
-        elapsed = time.time() - start
-        assert elapsed < 900.0, f"{axis.value} betweenness took {elapsed:.0f}s"
-        betw_elapsed = max(betw_elapsed, elapsed)
-        assert np.all(scores >= 0)
+    for axis, (graph, _) in zip((Direction.CITED, Direction.CITING), runs[1:]):
+        column = table.column(f"betweenness_cosine_{axis.value}")
+        assert np.all(column >= 0)
         # on a graph of diameter 2 every non-adjacent pair adds exactly 1
         adj = graph.adjacency.toarray()
-        degree = adj.sum(axis=1)
-        order = np.argsort(degree, kind="stable")
-        nodes = order[[0, n // 2, n - 1]]  # least, median and most connected
+        order = np.argsort(adj.sum(axis=1), kind="stable")
+        nodes = order[[0, n // 4, n // 2, 3 * n // 4, n - 1]]  # degree quantiles
         two_hop = _two_hop_betweenness(adj, nodes)
         del adj
         non_adjacent = n * (n - 1) // 2 - graph.edge_count
-        assert scores.sum() == pytest.approx(non_adjacent, rel=1e-12)
-        np.testing.assert_allclose(scores[nodes], two_hop, rtol=1e-12, atol=0)
-        column = table.column(f"betweenness_cosine_{axis.value}")
-        np.testing.assert_allclose(column, scores, rtol=1e-12, atol=0)
+        assert column.sum() == pytest.approx(non_adjacent, rel=1e-12)
+        np.testing.assert_allclose(column[nodes], two_hop, rtol=1e-12, atol=0)
 
         values = table.column(f"rao_stirling_relative_euclidean_{axis.value}")
         vectors = matrix.axis_matrix(axis)
@@ -471,9 +475,11 @@ def test_criterion_10_scale(tmp_path):
 
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6
     assert peak_gb < 16.0, f"peak RSS {peak_gb:.1f} GB"
+    raw_s, cited_s, citing_s = times
     _report(10, f"n={n}, {matrix.nnz} cells: full 12-indicator pipeline "
                 f"{pipeline_elapsed:.0f}s, process peak {pipeline_peak_gb:.2f} GB "
-                f"after it; slowest co-occurrence betweenness {betw_elapsed:.0f}s on "
-                f"{jobs} workers (<900s), diameter 2, sums and sampled values exact, "
+                f"after it; its betweenness runs took {raw_s:.0f}s raw, {cited_s:.0f}s "
+                f"cited and {citing_s:.0f}s citing co-occurrence on {jobs} workers "
+                "(<900s each), diameter 2, sums and values at five degree quantiles exact, "
                 "vector columns at the least and median support match the oracles; "
                 f"peak {peak_gb:.2f} GB (<16)")

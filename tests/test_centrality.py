@@ -224,13 +224,17 @@ class TestDeterminismAndJobs:
         assert calls == [(threading.get_ident(), before)]
         assert threading.active_count() == before
 
-    def test_batch_size_does_not_change_results_beyond_tolerance(self):
+    @pytest.mark.parametrize(
+        "n, p, directed", [(80, 0.08, True), (200, 0.3, False)], ids=["sparse", "dense"]
+    )
+    def test_batch_size_does_not_change_results_beyond_tolerance(self, n, p, directed):
         rng = np.random.default_rng(25)
-        adj = rng.random((80, 80)) < 0.08
-        graph = graph_from_dense(adj, directed=True)
-        a = betweenness(graph, batch_size=16)
-        b = betweenness(graph, batch_size=80)
-        assert np.allclose(a, b, atol=1e-9)
+        graph = graph_from_dense(rng.random((n, n)) < p, directed=directed)
+        assert runs_dense(graph) == (not directed)
+        want = betweenness(graph, batch_size=n)
+        for width in (16, 64, 128):
+            got = betweenness(graph, batch_size=width)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def parted_graph(rng, parts: int, size: int, p: float, directed: bool) -> np.ndarray:

@@ -440,6 +440,14 @@ class TestVector:
             assert np.array_equal(np.sort(a.indices), np.sort(b.indices))
             assert dict(zip(a.indices, a.data)) == dict(zip(b.indices, b.data))
 
+    def test_axes_are_read_only(self):
+        matrix = CitationMatrix(3, [0, 1, 2, 2], [1, 2, 0, 2], [1, 2, 3, 4])
+        before = matrix.tocsr().toarray()
+        for stored in (*map(matrix.axis_matrix, Direction), matrix.tocsr()):
+            with pytest.raises(ValueError, match="read-only"):
+                stored.data[0] = 9
+        assert np.array_equal(matrix.tocsr().toarray(), before)
+
 
 def _coo_arrays(coo):
     return coo.row, coo.col, coo.data.astype(np.int64)

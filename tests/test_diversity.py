@@ -271,7 +271,9 @@ class TestDiversityAll:
 @pytest.mark.filterwarnings("ignore:.*undefined distances")
 class TestRelativeEuclideanBlocks:
     """Relative-Euclidean forms are built in blocks of partner rows, in
-    groups that `jobs` threads share, and summed in block and group order."""
+    groups that `jobs` threads share, and summed in block and group order.
+    The (1 - cosine) products are built in blocks of journals under the
+    same budget."""
 
     @staticmethod
     def corpus() -> CitationMatrix:
@@ -292,15 +294,16 @@ class TestRelativeEuclideanBlocks:
         for run in runs[1:]:
             assert np.array_equal(run, runs[0])
 
+    @pytest.mark.parametrize("metric", ["one_minus_cosine", "relative_euclidean"])
     @pytest.mark.parametrize("exclude_self", [False, True])
     @pytest.mark.parametrize("direction", [Direction.CITED, Direction.CITING])
-    def test_one_partner_row_a_block_matches_naive(self, direction, exclude_self, monkeypatch):
+    def test_one_row_a_block_matches_naive(self, direction, exclude_self, metric, monkeypatch):
         monkeypatch.setattr(diversity, "PAIR_BLOCK", 1)  # every row alone
         m = self.corpus()
         axis = m.axis_matrix(direction)
-        dist = distance_matrix(m, direction, "relative_euclidean")
+        dist = distance_matrix(m, direction, metric)
         results = diversity_all(
-            m, direction, "relative_euclidean", exclude_self_citations=exclude_self, jobs=3
+            m, direction, metric, exclude_self_citations=exclude_self, jobs=3
         )
         for r in results:
             jid = r.journal_id
