@@ -171,12 +171,15 @@ def load_edge_list(
 
     Duplicate (citing, cited) rows are summed; cells whose summed count falls
     below `min_count` are dropped after summation.  Ids are assigned in
-    first-appearance order (citing column first within each row).  A leading
-    UTF-8 byte-order mark, as spreadsheet programs write, is ignored.
+    first-appearance order (citing column first within each row).  Each
+    distinct spelling of a name is canonicalized once, on its first row; later
+    rows look its id up by the field's exact text.  A leading UTF-8
+    byte-order mark, as spreadsheet programs write, is ignored.
     """
     if min_count < 1:
         raise ParseError("min_count must be a positive integer")
     registry = JournalRegistry()
+    ids: dict[str, int] = {}  # a name field's exact text -> its journal id
     cited_ids: list[int] = []
     citing_ids: list[int] = []
     counts: list[int] = []
@@ -198,8 +201,14 @@ def load_edge_list(
                 raise ParseError(f"expected 3 fields, got {len(row)}", lineno)
             citing_name, cited_name, count_text = row
             counts.append(_read_count(count_text, lineno))
-            citing_ids.append(registry.add(citing_name, lineno))
-            cited_ids.append(registry.add(cited_name, lineno))
+            citing_id = ids.get(citing_name)
+            if citing_id is None:
+                citing_id = ids[citing_name] = registry.add(citing_name, lineno)
+            citing_ids.append(citing_id)
+            cited_id = ids.get(cited_name)
+            if cited_id is None:
+                cited_id = ids[cited_name] = registry.add(cited_name, lineno)
+            cited_ids.append(cited_id)
         if not counts:
             raise EmptyCorpusError("no citation rows")
         matrix = CitationMatrix(len(registry), cited_ids, citing_ids, counts)

@@ -18,6 +18,7 @@ determines the output files.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import numbers
@@ -30,6 +31,7 @@ from .corpus import canonical_name
 from .errors import DataError, file_errors
 
 PRNG_IDENTITY = "numpy.random.Generator(PCG64)"
+WRITE_CHUNK = 4_096  # edge-list rows joined into one write
 
 
 @dataclass
@@ -297,17 +299,52 @@ def generate(spec: SyntheticSpec) -> SyntheticCorpus:
     )
 
 
+def _csv_spellings(names: list[str]) -> list[str]:
+    """Each name as `csv.writer(lineterminator="\\n")` writes it as a field."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    spelled = []
+    for name in names:
+        buffer.seek(0)
+        buffer.truncate()
+        # After a leading empty field csv spells an empty name as nothing, as
+        # within a row, not as the `""` it writes for a row of one empty field.
+        writer.writerow(["", name])
+        spelled.append(buffer.getvalue()[1:-1])
+    return spelled
+
+
 def write_corpus(
     corpus: SyntheticCorpus, edges_path: str | Path, truth_path: str | Path
 ) -> None:
-    """Write the edge-list CSV and the ground-truth JSON."""
+    """Write the edge-list CSV and the ground-truth JSON.
+
+    Rows are sorted by (citing, cited) id.  The bytes are those
+    `csv.writer(fh, lineterminator="\\n")` writes, so csv decides the quoting
+    of a name holding `,`, `"`, CR or LF; each name is spelled that way once,
+    and the rows are written as joined text in chunks of `WRITE_CHUNK` rows,
+    so only one chunk's text is held at a time.
+    """
     order = np.lexsort((corpus.cited, corpus.citing))
-    names = np.asarray(corpus.names, dtype=object)
-    citing, cited = names[corpus.citing[order]], names[corpus.cited[order]]
+    citing, cited = corpus.citing[order], corpus.cited[order]
+    counts = corpus.counts[order]
+    # In sorted order a row starts a new cell where its (citing, cited)
+    # differs from the previous row's.
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (citing[1:] != citing[:-1]) | (cited[1:] != cited[:-1])
+    spelled = np.asarray(_csv_spellings(corpus.names), dtype=object)
     with file_errors(edges_path), open(edges_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["citing", "cited", "count"])
-        writer.writerows(zip(citing, cited, corpus.counts[order].tolist()))
+        fh.write("citing,cited,count\n")
+        for start in range(0, len(order), WRITE_CHUNK):
+            rows = slice(start, start + WRITE_CHUNK)
+            fh.write("".join([
+                f"{a},{b},{k}\n"
+                for a, b, k in zip(
+                    spelled[citing[rows]].tolist(),
+                    spelled[cited[rows]].tolist(),
+                    counts[rows].tolist(),
+                )
+            ]))
     clusters: dict[str, list[str]] = {}
     for jid, c in enumerate(corpus.cluster_of):
         if c >= 0:
@@ -316,7 +353,7 @@ def write_corpus(
         "prng": PRNG_IDENTITY,
         "spec": asdict(corpus.spec),
         "journals": len(corpus.names),
-        "nonzero_cells": int(len(np.unique(corpus.cited * len(corpus.names) + corpus.citing))),
+        "nonzero_cells": int(np.count_nonzero(starts)),
         "clusters": clusters,
         "bridges": [
             {"id": bid, "name": corpus.names[bid]} for bid in corpus.bridge_ids

@@ -86,6 +86,19 @@ class TestLoadEdgeList:
         )
         registry, _ = load_edge_list(path)
         assert len(registry) == 3  # "J One" and "j one" collapse
+        # Each spelling again on later rows: still one journal, named by its
+        # first spelling stripped, with every row's count on its cells.
+        repeated = write(
+            tmp_path,
+            "r.csv",
+            'citing,cited,count\n" J One ",X,1\nj one,Y,2\n" J One ",Y,3\nj one,X,4\n',
+        )
+        registry, matrix = load_edge_list(repeated)
+        assert len(registry) == 3
+        one = registry.get("J ONE")
+        assert one == 0 and registry.name_of(one) == "J One"
+        cells = matrix.tocsr()
+        assert cells[registry.get("X"), one] == 5 and cells[registry.get("Y"), one] == 5
 
     def test_malformed_rows(self, tmp_path):
         bad_arity = write(tmp_path, "a.csv", "citing,cited,count\nA,B\n")
@@ -98,7 +111,7 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="positive"):
             load_edge_list(nonpositive)
 
-    @pytest.mark.parametrize("row", [",C,1", "C, ,1"])
+    @pytest.mark.parametrize("row", [",C,1", "C, ,1", " ,C,1\n ,D,1"])
     def test_empty_journal_name_names_its_line(self, tmp_path, row):
         path = write(tmp_path, "e.csv", f"citing,cited,count\nA,B,2\n{row}\n")
         message = f"^{re.escape(str(path))}: line 3: empty journal name$"

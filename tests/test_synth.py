@@ -1,18 +1,41 @@
+import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from interdisc.corpus import load_edge_list
+from interdisc import synth
+from interdisc.corpus import CitationMatrix, canonical_name, load_edge_list
 from interdisc.errors import DataError
 from interdisc.synth import (
     BridgeSpec,
     GeneralistSpec,
+    SyntheticCorpus,
     SyntheticSpec,
     generate,
     uniform_spec,
     write_corpus,
 )
+
+
+def hand_built(names, cells) -> SyntheticCorpus:
+    """A corpus of `names` whose rows are the (cited, citing, count) `cells`."""
+    cells = np.array(cells, dtype=np.int64).reshape(-1, 3)
+    return SyntheticCorpus(
+        names=list(names),
+        cluster_of=np.full(len(names), -1),
+        bridge_ids=[],
+        generalist_ids=[],
+        cited=cells[:, 0],
+        citing=cells[:, 1],
+        counts=cells[:, 2],
+        spec=SyntheticSpec(cluster_sizes=[len(names)]),
+    )
 
 
 class TestSpecValidation:
@@ -104,15 +127,75 @@ class TestGeneration:
         assert truth["spec"]["seed"] == 4
         assert set(truth["clusters"]) == {"cluster_0", "cluster_1"}
 
-    def test_output_loads_as_corpus(self, tmp_path):
-        spec = uniform_spec([6, 6], n_bridges=1, seed=5)
-        corpus = generate(spec)
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            generate(uniform_spec([6, 6], n_bridges=1, seed=5)),
+            # Repeated cells, which the loader sums; A's row names C before
+            # B appears, so the loaded ids differ from the corpus's.
+            hand_built(["A", "B", "C"], [(0, 1, 3), (2, 0, 1), (0, 1, 4), (1, 2, 2), (0, 1, 5)]),
+        ],
+        ids=["generated", "repeated-cells"],
+    )
+    def test_output_loads_as_corpus(self, tmp_path, corpus):
         write_corpus(corpus, tmp_path / "edges.csv", tmp_path / "truth.json")
+        truth = json.loads((tmp_path / "truth.json").read_text())
         registry, matrix = load_edge_list(tmp_path / "edges.csv")
         assert matrix.n == len(corpus.names)
         assert matrix.nnz == len(np.unique(corpus.cited * matrix.n + corpus.citing))
+        assert matrix.nnz == truth["nonzero_cells"]
+        # The loader numbers journals by first appearance, so compare every
+        # cell through the names.
+        loaded_id = [registry.get(name) for name in corpus.names]
+        expected = CitationMatrix(matrix.n, corpus.cited, corpus.citing, corpus.counts)
+        assert np.array_equal(
+            matrix.tocsr().toarray()[np.ix_(loaded_id, loaded_id)], expected.tocsr().toarray()
+        )
 
     def test_self_citations_on_diagonal(self):
         corpus = generate(uniform_spec([4, 4], seed=6))
         diagonal = {int(i) for i, j in zip(corpus.cited, corpus.citing) if i == j}
         assert diagonal == set(range(8))
+
+
+# Names whose spelling csv must decide: delimiters, quotes, CR and LF, inner
+# spaces and non-ASCII text, nonempty, trimmed and distinct once case-folded.
+odd_names = st.lists(
+    st.text(st.sampled_from(',"\r\n aZé\u00df\u4e2d'), min_size=1, max_size=5)
+    .map(str.strip)
+    .filter(bool),
+    min_size=1,
+    max_size=6,
+    unique_by=canonical_name,
+)
+
+
+@settings(max_examples=60)
+@given(odd_names, st.data())
+def test_written_bytes_are_csv_writers(names, data):
+    n = len(names)
+    cells = data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 10**12)),
+                 max_size=25)
+    )
+    corpus = hand_built(names, cells)
+    order = np.lexsort((corpus.cited, corpus.citing))
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["citing", "cited", "count"])
+    writer.writerows(
+        (names[corpus.citing[k]], names[corpus.cited[k]], int(corpus.counts[k])) for k in order
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        edges, truth = Path(tmp, "edges.csv"), Path(tmp, "truth.json")
+        write_corpus(hand_built(names, []), edges, truth)
+        assert edges.read_bytes() == b"citing,cited,count\n"
+        assert json.loads(truth.read_text())["nonzero_cells"] == 0
+        for chunk in (synth.WRITE_CHUNK, 1, 3):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setattr(synth, "WRITE_CHUNK", chunk)
+                write_corpus(corpus, edges, truth)
+            assert edges.read_bytes() == expected.getvalue().encode("utf-8"), chunk
+            assert json.loads(truth.read_text())["nonzero_cells"] == len(
+                np.unique(corpus.cited * n + corpus.citing)
+            )
