@@ -9,8 +9,10 @@ implementation of this sum; it evaluates every journal at once without a
 dense n x n matrix: (1 - cosine) from the journals' distributions times the
 unit vectors, relative-Euclidean from one distance per unordered pair of
 partners that share a distribution, built and summed in blocks of partner
-rows, in groups that `jobs` threads share.  `netspace.distance_matrix` gives
-the same distances as a dense matrix, for checking and export.
+rows, in groups that `jobs` threads share.  A block is a fixed run of rows,
+as many as `PAIR_BLOCK` cells hold when each product row takes n, its most.
+`netspace.distance_matrix` gives the same distances as a dense matrix, for
+checking and export.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from .netspace import (
     _l2_normalize_rows,
     _relative_euclidean,
 )
-from .shares import row_blocks, run_shares
+from .shares import run_shares
 
-# Cells per block of the diversity products, by an upper bound on each of
-# their rows; a row over it is a block alone.
+# Cells per block of the diversity products, each product row counted at its
+# most, n cells: a block takes as many rows as that allows, and at least one.
 PAIR_BLOCK = 1 << 20
 # Most groups of consecutive blocks that threads share, each summed into one
 # vector of all journals; their count does not depend on jobs.
@@ -130,15 +132,22 @@ def _defined_probabilities(
     return p_def, undef.astype(np.int64)
 
 
+def _fixed_row_blocks(n: int, width: int) -> list[tuple[int, int]]:
+    """Consecutive ranges [start, stop) of n rows, each of as many rows as
+    PAIR_BLOCK holds at `width` cells a row, and at least one."""
+    rows = max(1, PAIR_BLOCK // width)
+    return [(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
 def _all_cosine_bilinear(axis: sp.csr_matrix, p_def: sp.csr_matrix) -> np.ndarray:
     """All (1 - cosine) diversities at once, without the similarity Gram.
 
     With U the L2-normalized vectors, the cosine similarity is G = U U^T and
     p^T G p = |U^T p|^2.  Every defined partner has g_aa = 1, so the sum over
     i != j of p_i p_j (1 - g_ij) is (sum p)^2 - |U^T p|^2, and only P U is
-    formed, in blocks of journals that hold at most PAIR_BLOCK of its cells
-    by a bound on each row.  A journal's value reads only its own row, so
-    the blocks change no bit.
+    formed, in blocks of PAIR_BLOCK // n journals (at least one), since a
+    row of P U has at most n cells.  A journal's value reads only its own
+    row, so the blocks change no bit.
 
     The difference carries a rounding error of a few eps * (sum p)^2 (up to
     7 eps on rank-one count matrices of up to 1,000 journals, where every
@@ -148,9 +157,8 @@ def _all_cosine_bilinear(axis: sp.csr_matrix, p_def: sp.csr_matrix) -> np.ndarra
     unit, _ = _l2_normalize_rows(axis)
     values = _row_sums(p_def) ** 2
     noise = 8 * np.finfo(np.float64).eps * values
-    # row j of P U holds at most the cells of the unit vectors of j's partners
-    cells = _pattern(p_def).dot(np.diff(unit.indptr))
-    for start, stop in row_blocks(np.minimum(unit.shape[1], cells), PAIR_BLOCK):
+    n = len(values)
+    for start, stop in _fixed_row_blocks(n, n):
         pu = p_def[start:stop].dot(unit)
         values[start:stop] -= _row_sums(pu.multiply(pu))
     values[values <= noise] = 0.0
@@ -211,26 +219,17 @@ def _all_euclidean_pairs(axis: sp.csr_matrix, p_def: sp.csr_matrix, jobs: int = 
     explicitly, but only on the unordered pairs a < b that share some
     journal's distribution; d is symmetric, so each form is twice its
     upper-triangle part.  A block of partner rows makes whole rows of three
-    products, B^T B, the Gram rows and D P^T, and holds at most PAIR_BLOCK
-    cells of them by a bound on each row.  At most PAIR_GROUPS groups of
-    consecutive blocks are spread over `jobs` threads and their parts summed
-    in group order, so the result does not depend on `jobs`.
+    products, B^T B, the Gram rows and D P^T, each row at most n cells, so
+    it takes PAIR_BLOCK // (3 n) rows (at least one).  At most PAIR_GROUPS
+    groups of consecutive blocks are spread over `jobs` threads and their
+    parts summed in group order, so the result does not depend on `jobs`.
     """
     prob, _ = _l1_normalize_rows(axis)
     sq = _row_sums(prob.multiply(prob))
     n = len(sq)
     p_t = p_def.T.tocsr()
     pattern, pattern_t = _pattern(p_def), _pattern(p_t)
-    # row a of B^T B meets at most s partners through each distribution of
-    # support s that holds a, its Gram row at most c through each cell of its
-    # vector in a column of c cells, and its row of D P^T at most t journals
-    # through each partner there held by t distributions
-    reach = (
-        pattern_t.dot(np.diff(pattern.indptr)),
-        _pattern(prob).dot(np.bincount(prob.indices, minlength=n)),
-        pattern_t.dot(pattern.dot(np.diff(p_t.indptr))),
-    )
-    blocks = row_blocks(sum(np.minimum(n, r) for r in reach), PAIR_BLOCK)
+    blocks = _fixed_row_blocks(n, 3 * n)
     size = -(-len(blocks) // PAIR_GROUPS)
     groups = [blocks[i : i + size] for i in range(0, len(blocks), size)]
     work = partial(_euclidean_group_forms, prob, prob.T.tocsr(), sq, pattern, pattern_t, p_t)

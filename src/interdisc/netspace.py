@@ -31,7 +31,6 @@ import scipy.sparse as sp
 
 from .corpus import CitationMatrix, Direction
 from .errors import CountOverflowError, EmptyCorpusError, UndefinedIndicatorError, file_errors
-from .shares import row_blocks
 
 
 # A squared distance formed as |a|^2 + |b|^2 - 2 a.b keeps few correct digits
@@ -224,6 +223,20 @@ def distance_matrix(
     return dense
 
 
+def _row_blocks(counts: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Consecutive row ranges [start, stop) whose `counts` sum to at most
+    `budget`; a row over it is a range of its own."""
+    ends = np.cumsum(counts)
+    blocks = []
+    start = 0
+    while start < len(counts):
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + budget, side="right")))
+        blocks.append((start, stop))
+        start = stop
+    return blocks
+
+
 def _lower_cells(
     values: np.ndarray | sp.csr_matrix, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -260,7 +273,7 @@ def export_matrix_market(values: np.ndarray | sp.spmatrix, path: str | Path) -> 
         cells = np.diff(values.indptr)
     else:
         cells = np.full(n, n)
-    blocks = row_blocks(cells, EXPORT_BLOCK_CELLS)
+    blocks = _row_blocks(cells, EXPORT_BLOCK_CELLS)
     nnz = sum(len(_lower_cells(values, start, stop)[0]) for start, stop in blocks)
     # mmwrite given a path name ignores a failed open and writes nothing
     with file_errors(path), open(path, "wb") as fh:

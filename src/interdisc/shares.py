@@ -1,5 +1,4 @@
-"""Work split into interleaved shares, one per thread, results in item order,
-and rows split into consecutive blocks under a budget.
+"""Work split into interleaved shares, one per thread, results in item order.
 
 `betweenness` spreads its source batches and `diversity_all` its groups of
 partner-row blocks this way.  Each share is a fixed set of items (every
@@ -12,8 +11,6 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
-
-import numpy as np
 
 
 def run_shares(
@@ -48,16 +45,3 @@ def run_shares(
             stop.set()
     return [shares[i % workers][i // workers] for i in range(len(items))]
 
-
-def row_blocks(counts: np.ndarray, budget: int) -> list[tuple[int, int]]:
-    """Consecutive row ranges [start, stop) whose `counts` sum to at most
-    `budget`; a row over it is a range of its own."""
-    ends = np.cumsum(counts)
-    blocks = []
-    start = 0
-    while start < len(counts):
-        done = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, done + budget, side="right")))
-        blocks.append((start, stop))
-        start = stop
-    return blocks

@@ -284,7 +284,7 @@ class TestRelativeEuclideanBlocks:
 
     @pytest.mark.parametrize("direction", [Direction.CITED, Direction.CITING])
     def test_any_jobs_gives_the_same_bits(self, direction, monkeypatch):
-        monkeypatch.setattr(diversity, "PAIR_BLOCK", 40)  # nearly a block a row
+        monkeypatch.setattr(diversity, "PAIR_BLOCK", 40)  # a block a row
         m = self.corpus()
         runs = [
             [r.d_value for r in diversity_all(m, direction, "relative_euclidean", jobs=jobs)]
@@ -314,14 +314,49 @@ class TestRelativeEuclideanBlocks:
             want = naive_rao(w / w.sum(), dist[np.ix_(ids, ids)]) if ids.size else 0.0
             assert r.d_value == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    @pytest.mark.parametrize("direction", [Direction.CITED, Direction.CITING])
+    def test_plans_cover_each_row_once_and_change_no_cosine_bit(
+        self, direction, exclude_self, monkeypatch
+    ):
+        plan, plans = diversity._fixed_row_blocks, []
+
+        def recorded(n, width):
+            plans.append((n, width, plan(n, width)))
+            return plans[-1][2]
+
+        monkeypatch.setattr(diversity, "_fixed_row_blocks", recorded)
+        m = self.corpus()
+        runs = {metric: [] for metric in METRICS}
+        # a block a row (1, 40); 21 cosine or 7 relative-Euclidean rows a
+        # block, the last one shorter; one block
+        for budget in (1, 40, 7 * 3 * m.n, diversity.PAIR_BLOCK):
+            monkeypatch.setattr(diversity, "PAIR_BLOCK", budget)
+            for metric, width in zip(METRICS, (m.n, 3 * m.n)):
+                results = diversity_all(m, direction, metric, exclude_self_citations=exclude_self)
+                runs[metric].append([r.d_value for r in results])
+                [(n, used_width, blocks)] = plans
+                plans.clear()
+                rows = max(1, budget // width)
+                assert (n, used_width) == (m.n, width)
+                assert [stop - start for start, stop in blocks[:-1]] == [rows] * (len(blocks) - 1)
+                covered = np.concatenate([np.arange(start, stop) for start, stop in blocks])
+                assert np.array_equal(covered, np.arange(m.n))  # each row exactly once
+        cosine, euclidean = (np.array(runs[metric]) for metric in METRICS)
+        assert np.any(cosine[0] > 0)
+        for run in cosine[1:]:
+            assert np.array_equal(run, cosine[0])
+        for run in euclidean[1:]:
+            np.testing.assert_allclose(run, euclidean[0], rtol=1e-12)
+
     def test_peak_follows_the_block_not_the_pairs(self, monkeypatch):
         # ~0.4M partner pairs of the cited distributions (the citing
         # co-occurrence edges); one float64 CSR of them takes 12 bytes a pair
         m = cites_each(1000, 40)
         pairs = binarize(cooccurrence_support(m, Direction.CITING)).edge_count
-        monkeypatch.setattr(diversity, "PAIR_BLOCK", 1 << 13, raising=False)
+        monkeypatch.setattr(diversity, "PAIR_BLOCK", 1 << 13)  # 2 partner rows a block
         blocked = traced_peak(diversity_all, m, Direction.CITED, "relative_euclidean")
-        monkeypatch.setattr(diversity, "PAIR_BLOCK", 1 << 40, raising=False)
+        monkeypatch.setattr(diversity, "PAIR_BLOCK", 1 << 40)  # one block
         whole = traced_peak(diversity_all, m, Direction.CITED, "relative_euclidean")
         assert blocked < 16 * pairs
         assert blocked < whole / 4
@@ -334,8 +369,9 @@ class TestRelativeEuclideanBlocks:
         citing = np.concatenate([np.repeat(np.arange(n), 3), np.repeat(np.arange(4), n)])
         cited = np.concatenate([rng.integers(0, n, size=3 * n), np.tile(np.arange(n), 4)])
         m = CitationMatrix(n, cited, citing, rng.integers(1, 20, size=citing.size))
-        monkeypatch.setattr(diversity, "PAIR_BLOCK", 1)  # every row alone
-        alone = traced_peak(diversity_all, m, Direction.CITED, "relative_euclidean")
-        monkeypatch.setattr(diversity, "PAIR_BLOCK", 1 << 13)
+        monkeypatch.setattr(diversity, "PAIR_BLOCK", 1 << 17)  # 21 partner rows a block
         blocked = traced_peak(diversity_all, m, Direction.CITED, "relative_euclidean")
-        assert blocked < 2 * alone
+        # 12 bytes a CSR cell of the three products, their temporaries, and
+        # about 1.6 MB that the run holds outside the blocks; blocks packed
+        # by their pairs above the diagonal instead peak near 98 MB here
+        assert blocked < 32 * diversity.PAIR_BLOCK
