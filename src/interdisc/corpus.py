@@ -6,7 +6,8 @@ articles in journal j to articles in journal i, so row i is journal i's
 are journal self-citations and are kept.  Every matrix, whether loaded from
 an edge list or a Matrix Market file or cut out by `subset`, is built by the
 one constructor `CitationMatrix(n, rows, cols, counts)` from coordinate
-arrays.  Each loader reads and checks its file inside `errors.file_errors`,
+arrays; it refuses a matrix with no cell.  Each loader reads and checks its
+file, the constructor's checks included, inside `errors.file_errors`,
 so every data error from an input file names the file (and its line, for an
 error in one row), and a file that cannot be read or is not UTF-8 text is a
 data error too.
@@ -106,7 +107,9 @@ class CitationMatrix:
 
     Built from coordinate arrays: `counts[k]` citations in cell
     (`rows[k]`, `cols[k]`).  Repeated cells are summed.  Zero cells are never
-    stored; all stored counts are positive integers within int64.  Immutable
+    stored; all stored counts are positive integers within int64.  A matrix
+    always has cells: no cell at all is an `EmptyCorpusError`, here and
+    nowhere else, so code that takes a matrix need not check.  Immutable
     after construction: the arrays behind `tocsr` and both axes are read-only,
     so an in-place edit raises instead of changing what later callers read.
     """
@@ -116,7 +119,9 @@ class CitationMatrix:
             counts = np.asarray(counts, dtype=np.int64)
         except OverflowError:  # a Python int beyond int64
             raise ParseError("citation count exceeds the int64 range") from None
-        if len(counts) and counts.min() <= 0:
+        if not len(counts):
+            raise EmptyCorpusError("citation matrix has no cells")
+        if counts.min() <= 0:
             raise ParseError("citation counts must be positive")
         coo = sp.coo_matrix((counts, (rows, cols)), shape=(n, n))
         self._csr = coo.tocsr()
@@ -209,13 +214,11 @@ def load_edge_list(
             if cited_id is None:
                 cited_id = ids[cited_name] = registry.add(cited_name, lineno)
             cited_ids.append(cited_id)
-        if not counts:
-            raise EmptyCorpusError("no citation rows")
         matrix = CitationMatrix(len(registry), cited_ids, citing_ids, counts)
-    if min_count > 1:
-        cells = matrix.tocsr().tocoo()
-        keep = cells.data >= min_count
-        matrix = CitationMatrix(matrix.n, cells.row[keep], cells.col[keep], cells.data[keep])
+        if min_count > 1:
+            cells = matrix.tocsr().tocoo()
+            keep = cells.data >= min_count
+            matrix = CitationMatrix(matrix.n, cells.row[keep], cells.col[keep], cells.data[keep])
     return registry, matrix
 
 

@@ -26,11 +26,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import CitationMatrix, Direction
-from .errors import EmptyCorpusError, UndefinedIndicatorError
+from .errors import UndefinedIndicatorError
 from .netspace import (
     _drop_stored_diagonal,
-    _l1_normalize_rows,
-    _l2_normalize_rows,
+    _normalize_rows,
     _relative_euclidean,
 )
 from .shares import run_shares
@@ -67,10 +66,9 @@ def diversity_all(
     since d(i, i) = 0 regardless.  Journals with no off-diagonal partners
     are degenerate with value 0; journals with no vector at all are flagged
     missing.  Relative-Euclidean blocks are spread over `jobs` threads, the
-    calling thread included; results do not depend on `jobs`.
+    calling thread included; results do not depend on `jobs`.  A
+    `CitationMatrix` always has cells, so nothing here checks for none.
     """
-    if matrix.nnz == 0:
-        raise EmptyCorpusError("citation matrix has no cells")
     direction = Direction(direction)
     if metric == "one_minus_cosine":
         all_values = _all_cosine_bilinear
@@ -123,7 +121,7 @@ def _defined_probabilities(
     """
     # a copy: either axis is the citation matrix's own read-only storage
     p_source = _drop_stored_diagonal(axis.copy()) if exclude_self else axis
-    prob, _ = _l1_normalize_rows(p_source)
+    prob = _normalize_rows(p_source, 1)
     support = np.diff(prob.indptr)
     p_def = prob.dot(sp.diags(defined.astype(np.float64))).tocsr()
     p_def.eliminate_zeros()
@@ -154,7 +152,7 @@ def _all_cosine_bilinear(axis: sp.csr_matrix, p_def: sp.csr_matrix) -> np.ndarra
     true value is 0), so values up to 8 eps * (sum p)^2, which cannot be
     told from zero, are set to 0, as are negative ones.
     """
-    unit, _ = _l2_normalize_rows(axis)
+    unit = _normalize_rows(axis, 2)
     values = _row_sums(p_def) ** 2
     noise = 8 * np.finfo(np.float64).eps * values
     n = len(values)
@@ -224,7 +222,7 @@ def _all_euclidean_pairs(axis: sp.csr_matrix, p_def: sp.csr_matrix, jobs: int = 
     groups of consecutive blocks are spread over `jobs` threads and their
     parts summed in group order, so the result does not depend on `jobs`.
     """
-    prob, _ = _l1_normalize_rows(axis)
+    prob = _normalize_rows(axis, 1)
     sq = _row_sums(prob.multiply(prob))
     n = len(sq)
     p_t = p_def.T.tocsr()

@@ -5,7 +5,8 @@ All pairwise structures are computed per axis: "cited" compares matrix rows,
 distance matrices always have a zeroed diagonal.  Journals whose vector on
 the chosen axis is empty have cosine 0 against everything (including
 themselves) and *undefined* distances, which downstream consumers must
-exclude rather than treat as maximal.
+exclude rather than treat as maximal.  A `CitationMatrix` always has
+cells, so the builders here do no emptiness check of their own.
 
 Cosine similarities are a float64 CSR matrix and co-occurrence counts an
 int64 CSR matrix; neither is ever densified.  Only distance matrices are
@@ -30,7 +31,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .corpus import CitationMatrix, Direction
-from .errors import CountOverflowError, EmptyCorpusError, UndefinedIndicatorError, file_errors
+from .errors import CountOverflowError, UndefinedIndicatorError, file_errors
 
 
 # A squared distance formed as |a|^2 + |b|^2 - 2 a.b keeps few correct digits
@@ -72,20 +73,16 @@ def _drop_stored_diagonal(m: sp.csr_matrix) -> sp.csr_matrix:
     return m
 
 
-def _l2_normalize_rows(m: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Rows scaled to unit L2 norm; zero rows stay zero.  Returns (rows, norms)."""
+def _normalize_rows(m: sp.csr_matrix, order: int) -> sp.csr_matrix:
+    """Rows scaled to unit L1 norm (`order` 1: probability distributions)
+    or unit L2 norm (`order` 2); zero rows stay zero."""
     m = m.tocsr().astype(np.float64)
-    norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
+    if order == 1:
+        norms = np.asarray(m.sum(axis=1)).ravel()
+    else:
+        norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    return sp.diags(inv).dot(m).tocsr(), norms
-
-
-def _l1_normalize_rows(m: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Rows scaled to unit mass (probability distributions); zero rows stay zero."""
-    m = m.tocsr().astype(np.float64)
-    sums = np.asarray(m.sum(axis=1)).ravel()
-    inv = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
-    return sp.diags(inv).dot(m).tocsr(), sums
+    return sp.diags(inv).dot(m).tocsr()
 
 
 @dataclass
@@ -107,11 +104,6 @@ class BinaryGraph:
         return int(self.adjacency.nnz if self.directed else self.adjacency.nnz // 2)
 
 
-def _require_nonempty(matrix: CitationMatrix) -> None:
-    if matrix.nnz == 0:
-        raise EmptyCorpusError("citation matrix has no cells")
-
-
 def cosine_matrix(matrix: CitationMatrix, axis: Direction | str) -> sp.csr_matrix:
     """Pairwise cosine similarity between all vectors of one axis, as an
     n x n float64 CSR matrix with sorted indices and no stored zeros.
@@ -120,14 +112,14 @@ def cosine_matrix(matrix: CitationMatrix, axis: Direction | str) -> sp.csr_matri
     with a nonzero vector, absent (0) for empty ones, which are orthogonal
     to everything, themselves included.
     """
-    _require_nonempty(matrix)
-    unit, norms = _l2_normalize_rows(matrix.axis_matrix(axis))
+    vectors = matrix.axis_matrix(axis)
+    unit = _normalize_rows(vectors, 2)
     cos = unit.dot(unit.T).tocsr()
     np.clip(cos.data, 0.0, 1.0, out=cos.data)
     cos.eliminate_zeros()
     cos.sort_indices()
     # every nonzero vector stores its own product, so this writes in place
-    present = np.flatnonzero(norms > 0)
+    present = np.flatnonzero(np.diff(vectors.indptr))
     cos[present, present] = 1.0
     return cos
 
@@ -135,7 +127,6 @@ def cosine_matrix(matrix: CitationMatrix, axis: Direction | str) -> sp.csr_matri
 def cooccurrence(matrix: CitationMatrix, axis: Direction | str) -> sp.csr_matrix:
     """Exact integer co-occurrence products, A*A^T (cited) or A^T*A (citing),
     as an int64 CSR matrix with sorted indices and no stored zeros."""
-    _require_nonempty(matrix)
     a = matrix.axis_matrix(axis)
     max_count = int(a.data.max())
     max_support = int(np.diff(a.indptr).max())
@@ -160,7 +151,6 @@ def cooccurrence_support(
     Shares its off-diagonal support with the cosine matrix of the same axis,
     so binarized graphs built from it are identical to cosine-based ones.
     """
-    _require_nonempty(matrix)
     a = matrix.axis_matrix(axis).astype(bool)
     support = a.dot(a.T)
     support.eliminate_zeros()
@@ -199,13 +189,12 @@ def distance_matrix(
     normalized vectors (in [0, sqrt(2)]).  Pairs where either vector is
     empty are undefined and stored as NaN.
     """
-    _require_nonempty(matrix)
     vectors = matrix.axis_matrix(axis)
     if metric == "one_minus_cosine":
         dense = cosine_matrix(matrix, axis).toarray()
         np.subtract(1.0, dense, out=dense)
     elif metric == "relative_euclidean":
-        prob, _ = _l1_normalize_rows(vectors)
+        prob = _normalize_rows(vectors, 1)
         sq = np.asarray(prob.multiply(prob).sum(axis=1)).ravel()
         # |a|^2 + |b|^2 is the exact square of every orthogonal pair, so only
         # the Gram product's support needs the kernel

@@ -37,7 +37,7 @@ from .corpus import (
     subset,
 )
 from .diversity import diversity_all
-from .errors import DataError, EmptyCorpusError, UnknownJournalError, UsageError, file_errors
+from .errors import DataError, UnknownJournalError, UsageError, file_errors
 from .netspace import binarize, binarize_directed, cooccurrence_support, cosine_matrix
 from .stats import (
     CorrelationMatrix,
@@ -180,8 +180,6 @@ def load_corpus(config: RunConfig) -> LoadedCorpus:
             digests["names"] = file_digest(config.names_file)
     else:
         raise UsageError("no input file given")
-    if matrix.nnz == 0:  # e.g. --min-count dropped every cell
-        raise EmptyCorpusError("citation matrix has no cells")
     if config.metadata:
         unmatched = load_metadata(config.metadata, registry)
         digests["metadata"] = file_digest(config.metadata)

@@ -904,11 +904,39 @@ class TestExitCodes:
             ["export-matrix", "--out", "cos.mtx"],
         ],
     )
-    def test_corpus_emptied_by_min_count_is_2(self, edges_path, tmp_path, monkeypatch, command):
+    def test_corpus_emptied_by_min_count_is_2(
+        self, edges_path, tmp_path, monkeypatch, capsys, command
+    ):
         monkeypatch.chdir(tmp_path)
         argv = [*command, "--edges", edges_path, "--min-count", "100"]
         assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {edges_path}: citation matrix has no cells\n"
         assert not (tmp_path / "o").exists() and not (tmp_path / "cos.mtx").exists()
+
+    @pytest.mark.parametrize(
+        "flag,text",
+        [
+            ("--matrix-market",
+             "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 2 0\n2 1 0\n"),
+            ("--matrix-market", "%%MatrixMarket matrix coordinate integer general\n3 3 0\n"),
+            ("--edges", "citing,cited,count\n"),
+        ],
+        ids=["matrix-market-all-zero", "matrix-market-no-entry", "edges-header-only"],
+    )
+    def test_file_without_cells_is_2_naming_the_file(self, tmp_path, capsys, flag, text):
+        path = tmp_path / ("m.mtx" if flag == "--matrix-market" else "e.csv")
+        path.write_text(text, encoding="utf-8")
+        assert run(["indicators", flag, path, "--outdir", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == f"data error: {path}: citation matrix has no cells\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_local_subset_without_cells_is_2(self, edges4_path, tmp_path, capsys):
+        # X (1) and Z (3) cite neither each other nor themselves
+        argv = ["subset", "--edges", edges4_path, "--ids", "1,3", "--mode", "local_submatrix"]
+        assert run([*argv, "--outdir", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == "data error: citation matrix has no cells\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["edges", "names", "metadata"])
     def test_non_utf8_file_is_2_naming_the_file(self, tmp_path, capsys, kind):

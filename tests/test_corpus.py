@@ -123,7 +123,8 @@ class TestLoadEdgeList:
         with pytest.raises(EmptyCorpusError):
             load_edge_list(empty)
         header_only = write(tmp_path, "h.csv", "citing,cited,count\n")
-        with pytest.raises(EmptyCorpusError):
+        message = f"^{re.escape(str(header_only))}: citation matrix has no cells$"
+        with pytest.raises(EmptyCorpusError, match=message):
             load_edge_list(header_only)
 
     def test_bad_header(self, tmp_path):
@@ -407,8 +408,15 @@ class TestMetadata:
         load_metadata(meta, registry)
         ids = registry.ids_in_category("LIS")
         assert len(ids) == 61
-        _, sub = subset(matrix, registry, ids)
-        assert sub.n == 61
+        # only X cites them, so the 61 share no cell
+        with pytest.raises(EmptyCorpusError, match="^citation matrix has no cells$"):
+            subset(matrix, registry, ids)
+        self_rows = "\n".join(f"J{k},J{k},1" for k in range(n))
+        edges = write(tmp_path, "s.csv", "citing,cited,count\n" + rows + "\n" + self_rows + "\n")
+        registry, matrix = load_edge_list(edges)
+        load_metadata(meta, registry)
+        _, sub = subset(matrix, registry, registry.ids_in_category("LIS"))
+        assert sub.n == 61 and sub.nnz == 61
 
 
 class TestVector:
@@ -460,6 +468,10 @@ class TestVector:
             with pytest.raises(ValueError, match="read-only"):
                 stored.data[0] = 9
         assert np.array_equal(matrix.tocsr().toarray(), before)
+
+    def test_matrix_without_cells_is_empty_corpus(self):
+        with pytest.raises(EmptyCorpusError, match="^citation matrix has no cells$"):
+            CitationMatrix(3, [], [], [])
 
 
 def _coo_arrays(coo):

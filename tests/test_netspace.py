@@ -17,8 +17,7 @@ from interdisc.netspace import (
     cosine_matrix,
     distance_matrix,
     export_matrix_market,
-    _l1_normalize_rows,
-    _l2_normalize_rows,
+    _normalize_rows,
 )
 
 
@@ -129,9 +128,10 @@ def naive_cosine(matrix: CitationMatrix, axis: Direction) -> np.ndarray:
 
 def dense_cosine(matrix: CitationMatrix, axis: Direction) -> np.ndarray:
     """The same product as `cosine_matrix`, densified before it is clipped."""
-    unit, norms = _l2_normalize_rows(matrix.axis_matrix(axis))
+    vectors = matrix.axis_matrix(axis)
+    unit = _normalize_rows(vectors, 2)
     dense = np.clip(unit.dot(unit.T).toarray(), 0.0, 1.0)
-    np.fill_diagonal(dense, np.where(norms > 0, 1.0, 0.0))
+    np.fill_diagonal(dense, np.where(np.diff(vectors.indptr) > 0, 1.0, 0.0))
     return dense
 
 
@@ -155,7 +155,7 @@ class TestSparseCosine:
     def test_identical_vectors_clip_to_one(self, axis):
         m = sparse_cosine_corpus()
         twin = {Direction.CITED: (0, 1), Direction.CITING: (2, 3)}[axis]
-        unit, _ = _l2_normalize_rows(m.axis_matrix(axis))
+        unit = _normalize_rows(m.axis_matrix(axis), 2)
         assert unit.dot(unit.T)[twin] > 1.0  # the product rounds above 1
         assert cosine_matrix(m, axis)[twin] == 1.0
 
@@ -340,12 +340,12 @@ class TestBinarizeDirected:
 class TestProbabilityNormalize:
     def test_basic(self):
         m = CitationMatrix(2, [0, 0], [0, 1], [2, 2])
-        prob, _ = _l1_normalize_rows(m.axis_matrix(Direction.CITED))
+        prob = _normalize_rows(m.axis_matrix(Direction.CITED), 1)
         assert np.allclose(prob.toarray()[0], [0.5, 0.5])
 
     def test_direct_division(self):
         m = CitationMatrix(4, [0, 0, 0, 0], [0, 1, 2, 3], [1, 2, 3, 4])
-        prob, _ = _l1_normalize_rows(m.axis_matrix(Direction.CITED))
+        prob = _normalize_rows(m.axis_matrix(Direction.CITED), 1)
         p = prob.toarray()[0]
         assert np.allclose(p, [0.1, 0.2, 0.3, 0.4], atol=1e-15)
         assert abs(p.sum() - 1.0) <= 1e-12
@@ -353,8 +353,8 @@ class TestProbabilityNormalize:
     def test_idempotent(self):
         rng = np.random.default_rng(14)
         counts = rng.integers(1, 100, size=9)
-        p1, _ = _l1_normalize_rows(sp.csr_matrix(counts[None, :]))
-        p2, _ = _l1_normalize_rows(p1)
+        p1 = _normalize_rows(sp.csr_matrix(counts[None, :]), 1)
+        p2 = _normalize_rows(p1, 1)
         assert np.allclose(p1.toarray()[0], counts / counts.sum(), atol=1e-15)
         assert np.allclose(p1.toarray(), p2.toarray(), atol=1e-15)
 

@@ -1,27 +1,33 @@
 """Property tests: the indicator table under relabelling, transposition,
 scaling and a change of input format, the symmetry of the cosine matrix
 and of the graphs binarized from it, the all-journal diversity kernels
-against the naive double sum, and the loaders on arbitrary bytes.
+against the naive double sum, the loaders on arbitrary bytes, and every
+corpus command on small generated corpora and options.
 
 Random count matrices with at most 10 journals; every catalogue column,
 every support column and every degeneracy flag is compared within 1e-12,
 or exactly where the inputs hold the same matrix.  The loaders may reject
-any input, but only with an `InterdiscError`.
+any input, but only with an `InterdiscError`; a command may fail, but
+only with an exit code, and then writes no report.
 """
 
+import csv
+import io
+import json
 import tempfile
-from contextlib import suppress
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import indicator_table
+from interdisc.cli import main
 from interdisc.corpus import CitationMatrix, Direction, load_edge_list, load_matrix_market
 from interdisc.diversity import diversity_all
 from interdisc.errors import InterdiscError
@@ -224,3 +230,95 @@ def test_loaders_raise_only_interdisc_errors(data):
         for load in (load_edge_list, load_matrix_market):
             with suppress(InterdiscError):
                 load(path)
+
+
+RUN_OPTIONS = [
+    ["--jobs", "2"], ["--cosine-threshold", "0.3"], ["--gini-include-zeros"],
+    ["--triangle-sum"], ["--exclude-self-citations-from-p"],
+]
+SCOPE_OPTIONS = [["--directions", "citing"], ["--metrics", "relative_euclidean"]]
+STATS_OPTIONS = [["--include-degenerate"], ["--columns", "entropy_cited,betweenness_cosine_citing"]]
+# each command with the arguments it needs and the pool its options come from
+COMMANDS = {
+    "indicators": ([], RUN_OPTIONS + SCOPE_OPTIONS),
+    "rank": (
+        ["rao_stirling_relative_euclidean"],
+        RUN_OPTIONS + [["--direction", "citing"], ["--top", "2"], ["--include-degenerate"],
+                       ["--append-journal", "J1"], ["--sqrt"]],
+    ),
+    "correlate": ([], RUN_OPTIONS + STATS_OPTIONS),
+    "factor": ([], RUN_OPTIONS + STATS_OPTIONS + [["-k", "2"]]),
+    "subset": (["--ids", "0,2"], RUN_OPTIONS + SCOPE_OPTIONS + [["--mode", "local_submatrix"]]),
+    "export-matrix": (
+        [],
+        [["--kind", "cooccurrence"], ["--kind", "one_minus_cosine"],
+         ["--kind", "relative_euclidean"], ["--axis", "citing"], ["--jobs", "2"]],
+    ),
+}
+
+
+def _no_constant(token: str):
+    raise AssertionError(f"{token} in a JSON report")
+
+
+@settings(max_examples=150)
+@given(
+    st.sampled_from(sorted(COMMANDS)),
+    st.data(),
+    hnp.arrays(np.int64, st.integers(2, 5).map(lambda n: (n, n)), elements=st.integers(0, 3),
+               fill=st.nothing()),
+    st.sampled_from(["edges", "matrix_market"]),
+    st.sampled_from([None, None, 2, 4]),
+    st.sampled_from([False, False, False, True]),
+)
+def test_every_command_exits_with_a_code_and_whole_reports(
+    command, data, counts, form, min_count, zeroed
+):
+    if zeroed:  # all-zero inputs: a header-only edge list, a Matrix Market file of zeros
+        counts[:] = 0
+    needed, pool = COMMANDS[command]
+    options = data.draw(st.lists(st.sampled_from(pool), max_size=3, unique_by=tuple))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "out")
+        argv = [command, *needed, *(part for option in options for part in option)]
+        argv += ["--out", f"{out}.mtx"] if command == "export-matrix" else ["--outdir", str(out)]
+        cited, citing = np.nonzero(counts)
+        if form == "edges":
+            path = Path(tmp, "e.csv")
+            path.write_text(
+                "citing,cited,count\n"
+                + "".join(f"J{j},J{i},{counts[i, j]}\n" for i, j in zip(cited, citing)),
+                encoding="utf-8",
+            )
+            argv += ["--edges", str(path)]
+            if min_count:  # 4 drops every cell
+                argv += ["--min-count", str(min_count)]
+        else:  # every cell written, zeros included
+            path = Path(tmp, "m.mtx")
+            n = len(counts)
+            path.write_text(
+                f"%%MatrixMarket matrix coordinate integer general\n{n} {n} {n * n}\n"
+                + "".join(f"{i + 1} {j + 1} {c}\n" for (i, j), c in np.ndenumerate(counts)),
+                encoding="utf-8",
+            )
+            argv += ["--matrix-market", str(path)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in stderr.getvalue() + stdout.getvalue(), argv
+        reports = sorted(out.iterdir()) if out.is_dir() else []
+        if Path(f"{out}.mtx").exists():
+            reports.append(Path(f"{out}.mtx"))
+        if code:
+            assert not reports, (argv, stderr.getvalue())
+            return
+        assert reports, argv
+        for report in reports:
+            text = report.read_text(encoding="utf-8")
+            if report.suffix == ".csv":
+                lines = [line for line in text.splitlines() if not line.startswith("#")]
+                rows = list(csv.reader(lines))
+                assert rows and all(len(row) == len(rows[0]) for row in rows), (argv, report.name)
+            elif report.suffix == ".json":
+                json.loads(text, parse_constant=_no_constant)
