@@ -13,7 +13,8 @@ from conftest import indicator_table, random_sparse_counts
 from interdisc import centrality
 from interdisc.centrality import (
     DENSE_DENSITY,
-    _dependencies,
+    PANEL_ROWS,
+    _Adjacency,
     betweenness,
     normalize_betweenness,
 )
@@ -39,6 +40,13 @@ def graph_from_dense(adj, directed: bool) -> BinaryGraph:
 
 def runs_dense(graph: BinaryGraph) -> bool:
     return graph.adjacency.nnz > DENSE_DENSITY * graph.n * graph.n
+
+
+def batch_dependencies(adj, directed: bool, batches) -> list[np.ndarray]:
+    """`centrality._dependencies` on the adjacency `adj`, an array or CSR
+    matrix whose nonzero cells are the arcs, in the format it holds."""
+    pattern = sp.csr_matrix(adj != 0) if sp.issparse(adj) else np.asarray(adj, dtype=bool)
+    return centrality._dependencies(*_Adjacency.pair(pattern, directed), batches)
 
 
 class TestSmallGraphs:
@@ -279,8 +287,8 @@ class TestDenseAndSparseAdjacency:
         csr = sp.csr_matrix(adj.astype(np.float64))
         sources = np.arange(3, 40)
         monkeypatch.setattr(centrality, "PANEL_ROWS", panel_rows)
-        (dense,) = _dependencies(adj, transposed(adj, directed), [sources])
-        (sparse,) = _dependencies(csr, csr.T.tocsr(), [sources])
+        (dense,) = batch_dependencies(adj, directed, [sources])
+        (sparse,) = batch_dependencies(csr, directed, [sources])
         assert np.any(sparse > 0)
         np.testing.assert_allclose(dense, sparse, rtol=1e-12, atol=0)
 
@@ -371,8 +379,7 @@ LEVEL_TEST_GRAPHS = level_test_graphs()
 
 
 def as_format(adj: np.ndarray, fmt: str):
-    """A float64 adjacency in the form `betweenness` gives `_dependencies`:
-    boolean ndarray or float64 CSR."""
+    """A float64 adjacency as a boolean ndarray or a float64 CSR matrix."""
     return sp.csr_matrix(adj) if fmt == "csr" else adj.astype(bool)
 
 
@@ -382,26 +389,30 @@ def transposed(adj, directed: bool):
     return adj.T.tocsr() if sp.issparse(adj) else np.ascontiguousarray(adj.T)
 
 
-def counting(adj: np.ndarray, fmt: str, monkeypatch):
-    """`adj` in `fmt`, and the list that records each product `_dependencies`
-    runs on it (a CSR subclass's `.dot`, or each `_panel_dot`)."""
+def counting(monkeypatch) -> list[tuple[str, np.dtype]]:
+    """The list that records the form and dtype of each product
+    `_dependencies` runs (each call of `_product`)."""
     calls = []
-    if fmt == "ndarray":
-        panel_dot = centrality._panel_dot
+    product = centrality._product
 
-        def counted(m, x, *args):
-            calls.append(x.shape)
-            return panel_dot(m, x, *args)
+    def counted(form, rows, apply, other, x, *args):
+        calls.append((form, x.dtype))
+        return product(form, rows, apply, other, x, *args)
 
-        monkeypatch.setattr(centrality, "_panel_dot", counted)
-        return as_format(adj, fmt), calls
+    monkeypatch.setattr(centrality, "_product", counted)
+    return calls
 
-    class CountingCSR(sp.csr_matrix):
-        def dot(self, other):
-            calls.append(other.shape)
-            return super().dot(other)
 
-    return CountingCSR(adj), calls
+def layered_graph(layers: int = 9, width: int = 16) -> np.ndarray:
+    """Undirected layers of `width` nodes, each node joined to every node of
+    the next layer but the one at its own position: from layer 0, a node of
+    layer 8 is reached by about 15**7 > 2**24 geodesics, a count float32
+    cannot hold."""
+    n = layers * width
+    adj = np.zeros((n, n), dtype=bool)
+    for start in range(0, n - width, width):
+        adj[start : start + width, start + width : start + 2 * width] = ~np.eye(width, dtype=bool)
+    return adj | adj.T
 
 
 class TestLevelSkipping:
@@ -421,7 +432,7 @@ class TestLevelSkipping:
         n = adj.shape[0]
         for start in range(0, n, batch):
             sources = np.arange(start, min(start + batch, n))
-            (got,) = _dependencies(graph, transposed(graph, directed), [sources])
+            (got,) = batch_dependencies(graph, directed, [sources])
             want = brandes_batch_every_level(adj, adj_t, sources)
             assert np.array_equal(got, want), f"sources {start}..{sources[-1]}"
 
@@ -442,7 +453,7 @@ class TestLevelSkipping:
             np.arange(48, 60),
             np.array([3, 8, 40]),
         ]
-        got = _dependencies(graph, graph, batches)
+        got = batch_dependencies(graph, False, batches)
         assert len(got) == len(batches)
         for sources, vector in zip(batches, got):
             want = brandes_batch_every_level(adj, adj, sources)
@@ -469,9 +480,10 @@ class TestLevelSkipping:
         ids=["star_all", "star_leaf", "k33_all", "k33_one", "k33_two"],
     )
     def test_two_products_per_batch_at_depth_two(self, adj, sources, fmt, monkeypatch):
-        counted, calls = counting(adj, fmt, monkeypatch)
+        calls = counting(monkeypatch)
+        graph = as_format(adj, fmt)
         sources = np.array(sources)
-        (got,) = _dependencies(counted, counted, [sources])
+        (got,) = batch_dependencies(graph, False, [sources])
         assert len(calls) == 2
         assert np.array_equal(got, brandes_batch_every_level(adj, adj, sources))
 
@@ -479,10 +491,70 @@ class TestLevelSkipping:
     @pytest.mark.parametrize("length", [1, 2, 3, 5, 8])
     def test_path_of_depth_l_takes_two_l_minus_two_products(self, length, fmt, monkeypatch):
         adj = path_graph(length)
-        counted, calls = counting(adj, fmt, monkeypatch)
-        (got,) = _dependencies(counted, counted, [np.array([0])])
+        calls = counting(monkeypatch)
+        graph = as_format(adj, fmt)
+        (got,) = batch_dependencies(graph, False, [np.array([0])])
         assert len(calls) == 2 * (length - 1)
         assert np.array_equal(got, brandes_batch_every_level(adj, adj, np.array([0])))
+
+
+class TestRestrictedProducts:
+    """Each product runs in full, pulled to the rows that are read, or pushed
+    from the operand's nonzero rows; forward products run in float32 while
+    that is exact."""
+
+    @pytest.mark.parametrize("fmt", ["ndarray", "csr"])
+    def test_every_form_runs_on_each_format(self, fmt, monkeypatch):
+        calls = counting(monkeypatch)
+        for adj, directed in LEVEL_TEST_GRAPHS.values():
+            graph = as_format(adj, fmt)
+            n = adj.shape[0]
+            for batch in (1, 7, 64):
+                batches = [np.arange(start, min(start + batch, n)) for start in range(0, n, batch)]
+                batch_dependencies(graph, directed, batches)
+        # the path counts here stay below 2**24, so the float64 products are
+        # the backward ones: a dense one is restricted only when no source has
+        # more than two nodes on its level
+        dtypes = [np.dtype(np.float32), np.dtype(np.float64)]
+        assert set(calls) == {(form, dtype) for form in ("full", "pull", "push") for dtype in dtypes}
+
+    def test_path_counts_beyond_float32_stay_exact(self, monkeypatch):
+        adj = layered_graph().astype(np.float64)
+        n = adj.shape[0]
+        calls = counting(monkeypatch)
+        brute = brute_betweenness(adj, directed=False)
+        for fmt in ("ndarray", "csr"):
+            graph = as_format(adj, fmt)
+            recurrence = graph if fmt == "csr" else adj
+            start = len(calls)
+            got = sum(batch_dependencies(graph, False, [np.arange(n)]))
+            assert np.array_equal(got, brandes_batch_every_level(recurrence, recurrence, np.arange(n))), fmt
+            np.testing.assert_allclose(got / 2.0, brute, rtol=0, atol=1e-9)
+            # a connected graph takes as many backward products, all float64,
+            # as forward ones: the forward products past 2**24 add the rest
+            dtypes = [dtype for _, dtype in calls[start:]]
+            assert dtypes.count(np.dtype(np.float64)) > len(dtypes) / 2, fmt
+
+    def test_restricted_dense_products_hold_one_panel(self, monkeypatch):
+        # a dense core whose 400 outer nodes hang off 20 of its nodes: once
+        # the core is reached, the last forward product of each batch pulls
+        # the 400 outer rows (two panels)
+        rng = np.random.default_rng(47)
+        n, core, b = 1200, 800, 64
+        adj = np.zeros((n, n), dtype=bool)
+        adj[:core, :core] = rng.random((core, core)) < 0.3
+        adj[np.arange(core, n), rng.integers(0, 20, n - core)] = True
+        graph = graph_from_dense(adj, directed=False)
+        assert runs_dense(graph)
+        with monkeypatch.context() as patched:
+            calls = counting(patched)
+            betweenness(graph, 1, b)
+        assert ("pull", np.dtype(np.float32)) in calls
+        # n^2 bytes of booleans, one float64 panel with its boolean rows, and
+        # the (n, b) work arrays, level masks and per-product arrays; a float32
+        # copy of the 400 pulled rows would add 4 * 400 * n bytes
+        work = 6 * 8 * n * b
+        assert traced_peak(betweenness, graph, 1, b) < n * n + 9 * PANEL_ROWS * n + work
 
 
 class TestNormalization:

@@ -1,6 +1,7 @@
 """Property tests: the indicator table under relabelling, transposition,
 scaling and a change of input format, the symmetry of the cosine matrix
-and of the graphs binarized from it, the all-journal diversity kernels
+and of the graphs binarized from it, betweenness against the recurrence of
+full products at any thread count, the all-journal diversity kernels
 against the naive double sum, the loaders on arbitrary bytes, and every
 corpus command on small generated corpora and options.
 
@@ -27,13 +28,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import indicator_table
+from interdisc.centrality import DENSE_DENSITY, betweenness
 from interdisc.cli import main
 from interdisc.corpus import CitationMatrix, Direction, load_edge_list, load_matrix_market
 from interdisc.diversity import diversity_all
 from interdisc.errors import InterdiscError
-from interdisc.netspace import binarize, cosine_matrix, distance_matrix
+from interdisc.netspace import BinaryGraph, binarize, cosine_matrix, distance_matrix
 from interdisc.pipeline import INDICATORS
-from oracles import binarize_symmetrized, naive_rao
+from oracles import binarize_symmetrized, brandes_batch_every_level, naive_rao
 
 TOL = 1e-12
 
@@ -142,6 +144,37 @@ def test_cosine_matrix_is_symmetric_and_binarizes_without_symmetrizing(counts, a
     assert got.dtype == bool and np.array_equal(got.toarray(), want.toarray())
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 48),
+    st.sampled_from([0.03, 0.08, 0.3]),
+    st.booleans(),
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
+)
+def test_betweenness_is_the_full_product_recurrence_at_any_jobs(n, p, directed, batch_size, seed):
+    # every product form on either adjacency format gives the bits of the
+    # recurrence's full float64 products, batch by batch, at any thread count
+    adj = np.random.default_rng(seed).random((n, n)) < p
+    np.fill_diagonal(adj, False)
+    if not directed:
+        adj |= adj.T
+    graph = BinaryGraph(n=n, directed=directed, adjacency=sp.csr_matrix(adj))
+    full = adj.astype(np.float64)
+    if graph.adjacency.nnz > DENSE_DENSITY * n * n:
+        full_t = np.ascontiguousarray(full.T)
+    else:
+        full = sp.csr_matrix(full)
+        full_t = full.T.tocsr()
+    want = np.zeros(n)
+    for start in range(0, n, batch_size):
+        want += brandes_batch_every_level(full, full_t, np.arange(start, min(start + batch_size, n)))
+    if not directed:
+        want /= 2.0
+    for jobs in (1, 3):
+        assert np.array_equal(betweenness(graph, jobs, batch_size), want), jobs
+
+
 @st.composite
 def diversity_matrices(draw) -> np.ndarray:
     """Count matrices with the awkward cases made likely: empty rows and
@@ -233,7 +266,7 @@ def test_loaders_raise_only_interdisc_errors(data):
 
 
 RUN_OPTIONS = [
-    ["--jobs", "2"], ["--cosine-threshold", "0.3"], ["--gini-include-zeros"],
+    ["--cosine-threshold", "0.3"], ["--gini-include-zeros"],
     ["--triangle-sum"], ["--exclude-self-citations-from-p"],
 ]
 SCOPE_OPTIONS = [["--directions", "citing"], ["--metrics", "relative_euclidean"]]
@@ -252,7 +285,7 @@ COMMANDS = {
     "export-matrix": (
         [],
         [["--kind", "cooccurrence"], ["--kind", "one_minus_cosine"],
-         ["--kind", "relative_euclidean"], ["--axis", "citing"], ["--jobs", "2"]],
+         ["--kind", "relative_euclidean"], ["--axis", "citing"]],
     ),
 }
 
@@ -302,16 +335,11 @@ def test_every_command_exits_with_a_code_and_whole_reports(
                 encoding="utf-8",
             )
             argv += ["--matrix-market", str(path)]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            code = main(argv)
+        code, stdout, stderr, reports = _run_command([*argv, "--jobs", "1"], out)
         assert code in (0, 1, 2, 3), argv
-        assert "Traceback" not in stderr.getvalue() + stdout.getvalue(), argv
-        reports = sorted(out.iterdir()) if out.is_dir() else []
-        if Path(f"{out}.mtx").exists():
-            reports.append(Path(f"{out}.mtx"))
+        assert "Traceback" not in stderr + stdout, argv
         if code:
-            assert not reports, (argv, stderr.getvalue())
+            assert not reports, (argv, stderr)
             return
         assert reports, argv
         for report in reports:
@@ -322,3 +350,26 @@ def test_every_command_exits_with_a_code_and_whole_reports(
                 assert rows and all(len(row) == len(rows[0]) for row in rows), (argv, report.name)
             elif report.suffix == ".json":
                 json.loads(text, parse_constant=_no_constant)
+        # three threads write the same bytes, but for the jobs value in the config
+        one_thread = {report.name: report.read_bytes() for report in reports}
+        for report in reports:
+            report.unlink()
+        code, _, stderr, reports = _run_command([*argv, "--jobs", "3"], out)
+        assert code == 0, (argv, stderr)
+        three_threads = {
+            report.name: report.read_bytes().replace(b'"jobs": 3', b'"jobs": 1') for report in reports
+        }
+        assert three_threads == one_thread, argv
+
+
+def _run_command(argv: list[str], out: Path) -> tuple[int, str, str, list[Path]]:
+    """`main(argv)`'s exit code, stdout and stderr, and the reports it wrote
+    into the directory `out` or to `out.mtx`."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(argv)
+    reports = sorted(out.iterdir()) if out.is_dir() else []
+    if Path(f"{out}.mtx").exists():
+        reports.append(Path(f"{out}.mtx"))
+    return code, stdout.getvalue(), stderr.getvalue(), reports
+
