@@ -59,10 +59,13 @@ DENSE_DENSITY = 0.1
 # Rows of a boolean adjacency cast to float per GEMM: 8 * PANEL_ROWS * n bytes.
 PANEL_ROWS = 256
 # A product is restricted to some of its rows only when they hold fewer than
-# this share of the adjacency's cells.  On the benchmark
-# corpora's seed-1 graphs (2 CPUs), a CSR product restricted to rows holding
-# 50-60% of the cells took 0.6-0.9 of the full product's time (median per
-# form and dtype), 70-80% 0.9-1.0, and 80-90% 1.1-1.2.
+# this share of the adjacency's cells.  On the benchmark corpora's seed-1
+# graphs (2 CPUs), a CSR product restricted to rows holding 50-60% of the
+# cells took 0.6-0.9 of the full product's time (median per form and dtype),
+# 70-80% 0.9-1.0, and 80-90% 1.1-1.2.  A dense pull of random rows of
+# `dense-cooc`'s citing graph (n = 1,512, b = 64, 2 BLAS threads) took
+# 0.50-0.58 of the full GEMM's time at 50% of the rows, 0.71-0.85 at 70%,
+# and 0.79-1.10 at 90%, in float32 and float64 alike.
 RESTRICTED_SHARE = 0.7
 # Float32 and float64 hold every integer below these exactly.
 FLOAT32_EXACT = 2.0**24
@@ -128,24 +131,30 @@ def _form(
     that possible.
 
     A CSR row sums its terms in stored order in every form.  A GEMM over
-    fewer rows or columns may sum in another order, so a dense product is
-    restricted only when every order gives the same bits: when it is
-    `exact` (integers whose partial sums are all exact), or when no column
-    of x holds more than two nonzero terms, since x + 0 and a + b are exact
-    in any order.  A dense push takes at most one panel of rows.
+    fewer rows or columns may sum in another order, so a dense product only
+    pulls when it is `exact` (integers whose partial sums are all exact),
+    and only pushes, at most one panel of rows, when no column of x holds
+    more than two nonzero terms, since x + 0 and a + b are exact in any
+    order.  On the benchmark corpora's dense graphs both run only on a
+    batch's last levels.
     """
-    dense = not sp.issparse(apply.pattern)
-    if dense and not exact:
-        if np.count_nonzero(front) > 2 * front.shape[1] or np.count_nonzero(front, axis=0).max() > 2:
+    sides = (("pull", apply, read), ("push", other, front))
+    if not sp.issparse(apply.pattern):
+        if exact:
+            sides = sides[:1]
+        elif (
+            np.count_nonzero(front) <= min(2 * front.shape[1], PANEL_ROWS)
+            and np.count_nonzero(front, axis=0).max() <= 2
+        ):
+            sides = sides[1:]
+        else:
             return "full", None
     best, form, live = RESTRICTED_SHARE * apply.least[-1], "full", None
-    for name, side, mask in (("pull", apply, read), ("push", other, front)):
+    for name, side, mask in sides:
         fewest_rows = -(-np.count_nonzero(mask) // mask.shape[1])
         if side.least[fewest_rows] >= best:
             continue
         rows = mask.any(axis=1)
-        if dense and name == "push" and np.count_nonzero(rows) > PANEL_ROWS:
-            continue
         cells = side.lengths @ rows
         if cells < best:
             best, form, live = cells, name, rows
@@ -165,30 +174,30 @@ def _panel_dot(adj: np.ndarray, x: np.ndarray, panel: np.ndarray, out: np.ndarra
 
 def _product(
     form: str, rows: np.ndarray | None, apply: _Adjacency, other: _Adjacency,
-    x: np.ndarray, buffers: tuple[np.ndarray, ...] | None,
+    x: np.ndarray, buffers: tuple[np.ndarray, ...],
 ) -> np.ndarray:
     """`apply` @ x in x's dtype and the `form` that `_form` chose, right on
     the rows it was told are read; a pull's result is zero elsewhere.
 
-    A CSR product returns a new array.  A dense one writes into the third
-    of its `buffers` (panels, blocks, results: flat float64 arrays viewed in
-    x's dtype), casting `apply` (or, pushed, `other`) one `PANEL_ROWS` panel
-    at a time into the first; a pull writes each panel's rows through the
-    second.
+    `buffers` are flat float64 arrays (panels, blocks, results) viewed in
+    x's dtype.  A pull writes into the results, as does every dense product;
+    a full or pushed CSR product returns a new array.  A dense product casts
+    `apply` (or, pushed, `other`) one `PANEL_ROWS` panel at a time into the
+    panels, and a dense pull writes each panel's rows through the blocks.
     """
+    panels, blocks, results = (buf.view(x.dtype) for buf in buffers)
+    n, width = x.shape
+    out = results[: n * width].reshape(n, width)
     if sp.issparse(apply.pattern):
         if form == "full":
             return apply.csr(x.dtype).dot(x)
         if form == "push":
             return other.csr(x.dtype, rows).T.dot(x[rows])
-        result = np.zeros_like(x)
-        result[rows] = apply.csr(x.dtype, rows).dot(x)
-        return result
-    panels, blocks, results = (buf.view(x.dtype) for buf in buffers)
-    n, width = x.shape
+        out.fill(0.0)
+        out[rows] = apply.csr(x.dtype, rows).dot(x)
+        return out
     height = min(PANEL_ROWS, n)
     panel = panels[: height * n].reshape(height, n)
-    out = results[: n * width].reshape(n, width)
     if form == "full":
         return _panel_dot(apply.pattern, x, panel, out)
     if form == "push":
@@ -220,10 +229,11 @@ def _dependencies(
 
     The work arrays are allocated once, flat, for the largest batch, and each
     batch views a C-contiguous (n, b) prefix of them, so no batch or level
-    allocates and faults in n x b temporaries of its own; only the CSR
-    products' results are new.  BFS level k is a boolean mask, kept until
-    the backward pass pairs it with level k - 1.  The masks select by
-    multiplying, as `where=` arguments to ufuncs are several times slower.
+    allocates and faults in n x b temporaries of its own; only the full and
+    pushed CSR products' results are new, each freed before the next
+    product.  BFS level k is a boolean mask,
+    kept until the backward pass pairs it with level k - 1.  The masks select
+    by multiplying, as `where=` arguments to ufuncs are several times slower.
 
     The first BFS step is the sources' rows of `adj`, gathered, not
     multiplied.  The BFS stops once every (node, source) entry is reached, or
@@ -235,11 +245,13 @@ def _dependencies(
     Each product runs in the cheapest of three forms (`_form`): all rows, only
     the rows that are read (forward: still unvisited for some source;
     backward: on level k - 1), or only the operand's nonzero rows (the
-    frontier, or level k) through the transpose's rows.  A forward product
-    runs in float32 while every column sum of its operand, and so every
-    partial sum, is an integer below 2**24, and in float64 otherwise.  Its
-    float32 operand goes into the delta buffer, unused until the backward
-    pass.  Every result is bitwise that of the full float64 product.
+    frontier, or level k) through the transpose's rows; a dense product
+    pulls only forward and pushes only where the sum is exact in any order.
+    A forward product runs in float32 while every column sum of its operand,
+    and so every partial sum, is an integer below 2**24, and in float64
+    otherwise.  Its float32 operand goes into the delta buffer, unused until
+    the backward pass.  Every result is bitwise that of the full float64
+    product.
     """
     n = adj.pattern.shape[0]
     size = n * max(len(sources) for sources in batches)
@@ -247,10 +259,8 @@ def _dependencies(
     unvisited_buf = np.empty(size, dtype=bool)
     ones = np.ones(n)
     level_bufs: list[np.ndarray] = []  # level k's mask in level_bufs[k - 1]
-    buffers = None
-    if not sp.issparse(adj.pattern):
-        height = min(PANEL_ROWS, n)
-        buffers = (np.empty(height * n), np.empty(height * (size // n)), np.empty(size))
+    height = 0 if sp.issparse(adj.pattern) else min(PANEL_ROWS, n)
+    buffers = (np.empty(height * n), np.empty(height * (size // n)), np.empty(size))
 
     def product(apply, other, x, front, read, exact=False):
         form, rows = _form(apply, other, front, read, exact)
@@ -296,6 +306,7 @@ def _dependencies(
             if largest < FLOAT32_EXACT:
                 x = coef32
                 np.copyto(x, coef)
+            del paths  # free a CSR product's result before the next one allocates its own
             paths = product(adj_t, adj, x, newly, unvisited, exact=largest < FLOAT64_EXACT)
 
         sigma += unvisited  # 1 on the entries never reached keeps every quotient finite
@@ -308,6 +319,7 @@ def _dependencies(
             part *= sigma
             part *= levels[k - 1]
             delta += part
+            del part
         totals.append(delta.sum(axis=1))
     return totals
 

@@ -512,11 +512,16 @@ class TestRestrictedProducts:
             for batch in (1, 7, 64):
                 batches = [np.arange(start, min(start + batch, n)) for start in range(0, n, batch)]
                 batch_dependencies(graph, directed, batches)
-        # the path counts here stay below 2**24, so the float64 products are
-        # the backward ones: a dense one is restricted only when no source has
-        # more than two nodes on its level
-        dtypes = [np.dtype(np.float32), np.dtype(np.float64)]
-        assert set(calls) == {(form, dtype) for form in ("full", "pull", "push") for dtype in dtypes}
+        # the path counts here stay below 2**24, so the float32 products are
+        # the forward ones and the float64 products the backward ones; a dense
+        # product pulls only forward, and pushes only backward, where no source
+        # has more than two nodes on its level
+        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        if fmt == "csr":
+            want = {(form, dtype) for form in ("full", "pull", "push") for dtype in (f32, f64)}
+        else:
+            want = {("full", f32), ("full", f64), ("pull", f32), ("push", f64)}
+        assert set(calls) == want
 
     def test_path_counts_beyond_float32_stay_exact(self, monkeypatch):
         adj = layered_graph().astype(np.float64)
